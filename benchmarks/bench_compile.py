@@ -61,7 +61,6 @@ BATCH_SIZE = 128  # paper_train_config().batch_size
 def run_leg(leg: str, scale: float, steps: int) -> dict:
     from repro.experiments.harness import build_dataset
     from repro.core.model import O2SiteRec
-    from repro.core.recommender import batch_periods_enabled
     from repro.nn import init
     from repro.optim import Adam, clip_grad_norm
     from repro.runtime import env_flag, tune_allocator
@@ -93,7 +92,7 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
             parameters=model.parameters(),
             optimizer=optimizer,
             clip_fn=lambda: clip_grad_norm(model.parameters(), 5.0),
-            guard_fn=lambda: (model.training, batch_periods_enabled()),
+            guard_fn=lambda: (model.training,),
         )
     gc.collect()
 
@@ -200,13 +199,11 @@ LEG_ENV = {
     "eager": {
         "O2_COMPILE_STEP": "0",
         "O2_BUFFER_POOL": "1",
-        "O2_NUM_THREADS": "1",
         "O2_MEM_PROFILE": "1",
     },
     "plan": {
         "O2_COMPILE_STEP": "1",
         "O2_BUFFER_POOL": "1",
-        "O2_NUM_THREADS": "1",
         "O2_MEM_PROFILE": "1",
     },
 }

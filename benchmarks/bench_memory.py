@@ -163,13 +163,11 @@ LEG_ENV = {
         "O2_BUFFER_POOL": "0",
         "O2_MALLOC_TUNE": "0",
         "MALLOC_MMAP_THRESHOLD_": "131072",
-        "O2_NUM_THREADS": "1",
         "O2_MEM_PROFILE": "1",
         "O2_COMPILE_STEP": "0",
     },
     "pool": {
         "O2_BUFFER_POOL": "1",
-        "O2_NUM_THREADS": "1",
         "O2_MEM_PROFILE": "1",
         "O2_COMPILE_STEP": "0",
     },

@@ -1,14 +1,15 @@
 """Sharded propagation: grid-tile band sweep vs the single-process legs.
 
 Three fresh-subprocess legs on the metropolis preset (10k+ regions, ~1.3M
-S-U edges across five periods), identical except for the ``O2_*`` switches
-read at import time:
+S-U edges across five periods), identical except for the tile switch read
+at import time and the propagation entry point they time:
 
 * ``single``    -- ``O2_SHARD_TILES=0``: the repo's default single-process
   configuration (period-batched propagation, full-graph kernels);
-* ``perperiod`` -- ``O2_SHARD_TILES=0 O2_BATCH_PERIODS=0``: the per-period
-  reference path, the exact FP op sequence the sharded executor promises
-  to reproduce byte-for-byte;
+* ``perperiod`` -- ``O2_SHARD_TILES=0``, timing
+  ``HeteroRecommender.propagate_per_period``: the per-period reference
+  path, the exact FP op sequence the sharded executor promises to
+  reproduce byte-for-byte;
 * ``sharded``   -- ``O2_SHARD_TILES=8``: grid-tile banded propagation.
   On a single core this runs as the in-process band sweep (no forks); the
   win is cache tiling -- band-local edge intermediates stay resident
@@ -71,7 +72,6 @@ SHARD_TILES = 8  # optimum from the band-count scan (4/8/16/25/50)
 def run_leg(leg: str, scale: float, reps: int) -> dict:
     from repro.core import shard
     from repro.core.model import O2SiteRec
-    from repro.core.recommender import batch_periods_enabled
     from repro.nn import init
     from repro.runtime import tune_allocator
 
@@ -84,6 +84,9 @@ def run_leg(leg: str, scale: float, reps: int) -> dict:
     rec = model.recommender
     capacity_su, _ = model._capacity_pass()
     tiles_engaged = shard.shard_tiles_for(rec, capacity_su)
+    propagate = (
+        rec.propagate_per_period if leg == "perperiod" else rec.propagate_periods
+    )
 
     def sha_periods(out) -> str:
         digest = hashlib.sha256()
@@ -97,7 +100,7 @@ def run_leg(leg: str, scale: float, reps: int) -> dict:
     gc.collect()
     for _ in range(reps):
         started = time.perf_counter()
-        out = rec.propagate_periods(capacity_su)
+        out = propagate(capacity_su)
         times.append(time.perf_counter() - started)
         digest = sha_periods(out)
         assert sha is None or digest == sha, "propagation is not deterministic"
@@ -113,7 +116,6 @@ def run_leg(leg: str, scale: float, reps: int) -> dict:
         "leg": leg,
         "scale": scale,
         "tiles_engaged": int(tiles_engaged),
-        "batched_periods": bool(batch_periods_enabled()),
         "store_nodes": int(rec.graph.num_store_nodes),
         "customer_nodes": int(rec.graph.num_customer_nodes),
         "edges": int(edges),
@@ -133,7 +135,7 @@ def run_leg(leg: str, scale: float, reps: int) -> dict:
 
 LEG_ENV = {
     "single": {"O2_SHARD_TILES": "0"},
-    "perperiod": {"O2_SHARD_TILES": "0", "O2_BATCH_PERIODS": "0"},
+    "perperiod": {"O2_SHARD_TILES": "0"},
     "sharded": {"O2_SHARD_TILES": str(SHARD_TILES)},
 }
 
@@ -153,8 +155,6 @@ def check_legs(legs: dict) -> None:
         raise SystemExit("single leg unexpectedly sharded")
     if legs["perperiod"]["tiles_engaged"] != 0:
         raise SystemExit("perperiod leg unexpectedly sharded")
-    if not legs["single"]["batched_periods"]:
-        raise SystemExit("single leg lost period batching (not the default)")
     if legs["sharded"]["tiles_engaged"] <= 1:
         raise SystemExit("sharded leg did not engage the tile gate")
     if legs["sharded"]["sha"] != legs["perperiod"]["sha"]:

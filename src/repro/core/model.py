@@ -37,7 +37,6 @@ from ..graphs import (
 )
 from ..nn import Module
 from ..optim import mse_loss
-from ..parallel import parallel_map
 from ..tensor import Tensor, fast_kernels_enabled
 from ..tensor import plan as _plan
 from ..tensor.segment import invalidate_plans_for
@@ -246,8 +245,9 @@ class O2SiteRec(Module):
         fast = fast_kernels_enabled()
         base = self.capacity_model.base_embeddings() if fast else None
 
-        def run(period: TimePeriod):
-            """One period's capacity embeddings + O1 term (RNG-free)."""
+        capacity_su = {}
+        diffs = []
+        for period in TimePeriod:
             mobility = self.mobility_graph.subgraph(period)
             b = self.capacity_model.region_embeddings(mobility, base=base)
             src_regions, dst_regions = self._su_endpoints[period]
@@ -255,29 +255,19 @@ class O2SiteRec(Module):
                 # Hand the region table to the recommender ungathered; the
                 # aggregator projects it at table size (see
                 # CapacityEdgeFactors / FactoredEdgeAttr).
-                su = CapacityEdgeFactors(b, dst_regions, src_regions)
+                capacity_su[period] = CapacityEdgeFactors(b, dst_regions, src_regions)
             else:
-                su = self.capacity_model.edge_embeddings(b, src_regions, dst_regions)
-            diff = None
+                capacity_su[period] = self.capacity_model.edge_embeddings(
+                    b, src_regions, dst_regions
+                )
             if mobility.num_edges:
                 edge_emb = self.capacity_model.edge_embeddings(
                     b, mobility.src, mobility.dst
                 )
                 predicted = self.capacity_model.predict_delivery_time(edge_emb)
-                diff = (predicted - Tensor(mobility.delivery_time)).abs().mean()
-            return su, diff
-
-        # The per-period passes share parameters but build independent
-        # autograd subgraphs, so they fan out on the thread pool; O1 terms
-        # are summed in period order afterwards, keeping the reduction
-        # deterministic regardless of scheduling.
-        results = parallel_map(run, list(TimePeriod))
-        capacity_su = {p: su for p, (su, _) in zip(TimePeriod, results)}
-        o1_total = None
-        for _, diff in results:
-            if diff is not None:
-                o1_total = diff if o1_total is None else o1_total + diff
-        o1 = o1_total if o1_total is not None else Tensor(0.0)
+                diffs.append((predicted - Tensor(mobility.delivery_time)).abs().mean())
+        # O1 terms are summed after the loop, in period order.
+        o1 = sum(diffs[1:], diffs[0]) if diffs else Tensor(0.0)
         return capacity_su, o1 * (1.0 / len(TimePeriod))
 
     def forward(self, pairs: np.ndarray) -> Tensor:

@@ -39,7 +39,6 @@ from ..nn import (
     ModuleList,
     MultiHeadSegmentAttention,
 )
-from ..parallel import num_threads, parallel_map
 from ..tensor import (
     Tensor,
     concat,
@@ -51,31 +50,6 @@ from ..tensor import (
 )
 from ..tensor import plan as _plan
 from ..tensor.segment import invalidate_plans_for
-
-
-from ..runtime import env_flag as _env_flag
-
-_batch_periods = _env_flag("O2_BATCH_PERIODS", True)
-
-
-def batch_periods_enabled() -> bool:
-    """Whether the serial fast path stacks all periods into one graph."""
-    return _batch_periods
-
-
-def set_batch_periods(enabled: bool) -> bool:
-    """Toggle batched-period propagation; returns the previous setting.
-
-    The batched pass computes the same propagation with period-stacked
-    arrays; predictions match the per-period path to ~1e-15 and gradients
-    to ~1e-16 (summation order inside the taller matmuls differs).  Turning
-    it off forces the per-period path even with one worker thread -- the
-    serial reference for the bit-for-bit threaded-equivalence guarantee.
-    """
-    global _batch_periods
-    previous = _batch_periods
-    _batch_periods = bool(enabled)
-    return previous
 
 
 def _make_aggregator(
@@ -131,10 +105,10 @@ class CapacityEdgeFactors:
 class _EdgeSet:
     """Edge endpoint arrays + attribute tensors for one propagation pass.
 
-    A pass may cover a single period (reference / threaded per-period paths)
-    or all periods stacked into one block-diagonal graph with node indices
-    offset per period (the batched fast path) -- the node-level layer is
-    agnostic to which.
+    A pass may cover a single period (the per-period reference) or all
+    periods stacked into one block-diagonal graph with node indices offset
+    per period (the batched fast path) -- the node-level layer is agnostic
+    to which.
     """
 
     __slots__ = (
@@ -404,11 +378,6 @@ class HeteroRecommender(Module):
         q0 = self.type_embedding()
         return h0, z0, q0
 
-    def _fused_nodes(self):
-        """Step 1: node attribute fusion (with dropout)."""
-        h0, z0, q0 = self._fuse_base()
-        return self.dropout(h0), self.dropout(z0), q0
-
     def _period_edges(self, period: TimePeriod, capacity_su: Optional[Tensor]):
         """One period's edge set (step 2: S-U attrs fused with capacity)."""
         subgraph = self.graph.subgraph(period)
@@ -435,25 +404,6 @@ class HeteroRecommender(Module):
             ua_dst_u=subgraph.ua_dst_u,
             ua_attr=self._ua_attr[period] if fast else Tensor(subgraph.ua_attr),
         )
-
-    def _propagate(
-        self,
-        period: TimePeriod,
-        capacity_su: Optional[Tensor],
-        fused=None,
-    ):
-        """Steps 2-3 for one period: edge fusion + node-level aggregation.
-
-        ``fused`` lets :meth:`propagate_periods` pass in the per-period
-        dropout-applied node embeddings (drawn serially so the RNG stream is
-        identical regardless of how periods are scheduled); without it the
-        nodes are fused here, as in the reference path.
-        """
-        h, z, q = self._fused_nodes() if fused is None else fused
-        edges = self._period_edges(period, capacity_su)
-        for layer in self.layers:
-            h, z, q = layer(h, z, q, edges, self.use_preferences)
-        return h, q
 
     # -- batched all-periods propagation --------------------------------
     def _build_batched(self) -> _EdgeSet:
@@ -487,8 +437,8 @@ class HeteroRecommender(Module):
         """Steps 2-3 for all periods at once; returns stacked ``(h, q)``.
 
         Row block ``p`` of the outputs is period ``p``'s embedding matrix.
-        Dropout masks are drawn in the same order as the per-period paths,
-        so all fast paths consume an identical RNG stream.
+        Dropout masks are drawn in the same order as the per-period
+        reference, so both consume an identical RNG stream.
         """
         periods = list(TimePeriod)
         if self._batched_edges is None:
@@ -544,6 +494,27 @@ class HeteroRecommender(Module):
                 h, z, q = layer(h, z, q, edges, self.use_preferences)
         return h, q
 
+    def propagate_per_period(
+        self, capacity_su: Optional[Dict[TimePeriod, Tensor]] = None
+    ) -> Dict[TimePeriod, Tuple[Tensor, Tensor]]:
+        """Steps 2-3 one period at a time: the reference oracle.
+
+        A plain serial loop over the period graphs that fuses the nodes
+        afresh for each period.  The batched pass matches it to ~1e-15: its
+        weight gradients sum all periods' rows in one taller matmul.
+        Sharded eval (:mod:`repro.core.shard`) reproduces it byte for byte.
+        """
+        out: Dict[TimePeriod, Tuple[Tensor, Tensor]] = {}
+        for period in TimePeriod:
+            h0, z0, q = self._fuse_base()
+            h, z = self.dropout(h0), self.dropout(z0)
+            cap = capacity_su.get(period) if capacity_su else None
+            edges = self._period_edges(period, cap)
+            for layer in self.layers:
+                h, z, q = layer(h, z, q, edges, self.use_preferences)
+            out[period] = (h, q)
+        return out
+
     def propagate_periods(
         self, capacity_su: Optional[Dict[TimePeriod, Tensor]] = None
     ) -> Dict[TimePeriod, Tuple[Tensor, Tensor]]:
@@ -554,38 +525,21 @@ class HeteroRecommender(Module):
         so these outputs can be frozen once per trained model and reused for
         every online query (see :mod:`repro.serve`).
 
-        Fast-path execution: with more than one worker thread available
-        (``O2_NUM_THREADS``), the P periods build their disjoint autograd
-        subgraphs concurrently on the shared thread pool; the serial
-        fallback runs one batched pass over the period-stacked graph.  All
-        dropout masks are drawn serially in period order in either case, so
-        threaded and serial runs are bit-for-bit identical.
+        On the fast kernels this is one batched pass over the period-stacked
+        graph, or the grid-tile band sweep once the shard gate engages; the
+        reference kernels run :meth:`propagate_per_period`.  The path never
+        depends on the host's core count.
         """
-        periods = list(TimePeriod)
         if not fast_kernels_enabled():
-            out: Dict[TimePeriod, Tuple[Tensor, Tensor]] = {}
-            for period in periods:
-                cap = capacity_su.get(period) if capacity_su else None
-                out[period] = self._propagate(period, cap)
-            return out
+            return self.propagate_per_period(capacity_su)
 
         from .shard import propagate_periods_sharded, shard_tiles_for
 
         tiles = shard_tiles_for(self, capacity_su)
         if tiles:
             # Metropolis-scale eval: fan the aggregation out over grid-tile
-            # workers; bit-identical to the per-period path below.
+            # workers; bit-identical to the per-period path.
             return propagate_periods_sharded(self, capacity_su, tiles)
-
-        if num_threads(len(periods)) > 1 or not batch_periods_enabled():
-            h0, z0, q0 = self._fuse_base()  # shared across periods
-            fused = {p: (self.dropout(h0), self.dropout(z0), q0) for p in periods}
-
-            def run(period: TimePeriod) -> Tuple[Tensor, Tensor]:
-                cap = capacity_su.get(period) if capacity_su else None
-                return self._propagate(period, cap, fused=fused[period])
-
-            return dict(zip(periods, parallel_map(run, periods)))
 
         h_b, q_b = self._propagate_batched(capacity_su)
         n_s, n_t = self.graph.num_store_nodes, self.graph.num_types
@@ -594,7 +548,7 @@ class HeteroRecommender(Module):
                 h_b[p * n_s : (p + 1) * n_s],
                 q_b[p * n_t : (p + 1) * n_t],
             )
-            for p, period in enumerate(periods)
+            for p, period in enumerate(TimePeriod)
         }
 
     def forward(
@@ -607,12 +561,7 @@ class HeteroRecommender(Module):
         from .shard import shard_tiles_for
 
         periods = list(TimePeriod)
-        if (
-            fast_kernels_enabled()
-            and batch_periods_enabled()
-            and num_threads(len(periods)) <= 1
-            and not shard_tiles_for(self, capacity_su)
-        ):
+        if fast_kernels_enabled() and not shard_tiles_for(self, capacity_su):
             # Batched path: gather all periods' pair rows straight from the
             # stacked embeddings with period-offset indices -- one gather
             # per node family instead of one per family per period.

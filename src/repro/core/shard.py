@@ -73,7 +73,7 @@ import numpy as np
 
 from ..data.periods import TimePeriod
 from ..graphs.partition import GridTilePartition, band_node_splits
-from ..parallel import in_process_worker, num_procs, num_threads, process_map
+from ..parallel import in_process_worker, num_procs, process_map
 from ..runtime import env_int, env_str
 from ..serve.arena import open_raw_arena, save_raw_arena
 from ..tensor import Tensor, fast_kernels_enabled
@@ -201,10 +201,36 @@ def _resolve_gate_tiles(grid_shape) -> Tuple[int, str]:
     )
 
 
+def _gate(recommender, capacity_su, training: bool) -> Tuple[int, str]:
+    """Row-band count and reason shared by the eval and training gates."""
+    if recommender is None:
+        # Baseline models carry no recommender; nothing to band.
+        return 0, "no recommender (baseline model)"
+    if bool(recommender.training) != training:
+        return 0, (
+            "evaluation mode (training gate)"
+            if training
+            else "training mode (eval sharding is value-only)"
+        )
+    if training and not shard_train_enabled():
+        return 0, "disabled (O2_SHARD_TRAIN=0 / TrainConfig.shard_train=False)"
+    grid_shape = getattr(recommender, "grid_shape", None)
+    if grid_shape is None:
+        return 0, "no grid shape attached to the recommender"
+    if not fast_kernels_enabled():
+        return 0, "reference kernels (fast attention path off)"
+    if in_process_worker():
+        return 0, "inside a process_map worker (no nested fan-out)"
+    reason = _aggregator_gate_reason(recommender, capacity_su)
+    if reason is not None:
+        return 0, reason
+    return _resolve_gate_tiles(grid_shape)
+
+
 def shard_tiles_for(recommender, capacity_su=None) -> int:
     """Row-band count sharded propagation will use for this call (0 = off).
 
-    The gate in one place: sharding needs a grid shape (attached by
+    Sharding needs a grid shape (attached by
     :class:`repro.core.model.O2SiteRec`), evaluation mode, the fast-kernel
     attention path, attention aggregators on every relation, factored (or
     absent) capacity edge attributes, and a process that is not itself a
@@ -213,32 +239,14 @@ def shard_tiles_for(recommender, capacity_su=None) -> int:
     :func:`shard_gate_reason`.
     """
     global _gate_reason
-    grid_shape = getattr(recommender, "grid_shape", None)
-    if grid_shape is None:
-        _gate_reason = "no grid shape attached to the recommender"
-        return 0
-    if recommender.training:
-        _gate_reason = "training mode (eval sharding is value-only)"
-        return 0
-    if not fast_kernels_enabled():
-        _gate_reason = "reference kernels (fast attention path off)"
-        return 0
-    if in_process_worker():
-        _gate_reason = "inside a process_map worker (no nested fan-out)"
-        return 0
-    reason = _aggregator_gate_reason(recommender, capacity_su)
-    if reason is not None:
-        _gate_reason = reason
-        return 0
-    tiles, _gate_reason = _resolve_gate_tiles(grid_shape)
+    tiles, _gate_reason = _gate(recommender, capacity_su, training=False)
     return tiles
 
 
 # ---------------------------------------------------------------------------
 # Training gate (``O2_SHARD_TRAIN`` / ``TrainConfig.shard_train``): banded
-# sharded training targets the period-batched fast path -- the repo's
-# default single-process training configuration -- so it additionally
-# requires that path's own preconditions (serial threads, batching on).
+# sharded training replaces the layer loop of the period-batched pass, the
+# one dense training path.
 # ---------------------------------------------------------------------------
 
 _train_override: Optional[bool] = None
@@ -278,55 +286,13 @@ def shard_train_enabled() -> bool:
 def shard_train_tiles_for(recommender, capacity_su=None) -> int:
     """Row-band count the banded *training* step will use (0 = dense).
 
-    Mirrors :func:`shard_tiles_for` for the training direction: the model
-    must be in training mode with banded training enabled, on the
-    fast-kernel path, outside any worker, with attention aggregators and
-    factored (or absent) capacity attributes -- plus the period-batched
-    branch conditions (``batch_periods_enabled`` and a serial thread
-    count), because the banded step reproduces exactly that reference op
-    sequence.  Every exit records why in :func:`shard_train_gate_reason`.
+    The training direction of :func:`shard_tiles_for`: the same
+    preconditions, except that the model must be in training mode with
+    banded training enabled.  Every exit records why in
+    :func:`shard_train_gate_reason`.
     """
     global _train_gate_reason
-    if recommender is None:
-        # Baseline models carry no recommender; nothing to band.
-        _train_gate_reason = "no recommender (baseline model)"
-        return 0
-    if not recommender.training:
-        _train_gate_reason = "evaluation mode (training gate)"
-        return 0
-    if not shard_train_enabled():
-        _train_gate_reason = (
-            "disabled (O2_SHARD_TRAIN=0 / TrainConfig.shard_train=False)"
-        )
-        return 0
-    grid_shape = getattr(recommender, "grid_shape", None)
-    if grid_shape is None:
-        _train_gate_reason = "no grid shape attached to the recommender"
-        return 0
-    if not fast_kernels_enabled():
-        _train_gate_reason = "reference kernels (fast attention path off)"
-        return 0
-    if in_process_worker():
-        _train_gate_reason = "inside a process_map worker (no nested fan-out)"
-        return 0
-    from .recommender import batch_periods_enabled
-
-    if not batch_periods_enabled():
-        _train_gate_reason = (
-            "period batching off (banded training targets the batched path)"
-        )
-        return 0
-    if num_threads(len(TimePeriod)) > 1:
-        _train_gate_reason = (
-            "threaded per-period path (banded training targets the "
-            "batched path)"
-        )
-        return 0
-    reason = _aggregator_gate_reason(recommender, capacity_su)
-    if reason is not None:
-        _train_gate_reason = reason
-        return 0
-    tiles, _train_gate_reason = _resolve_gate_tiles(grid_shape)
+    tiles, _train_gate_reason = _gate(recommender, capacity_su, training=True)
     return tiles
 
 
@@ -608,8 +574,9 @@ def propagate_periods_sharded(
 ) -> Dict[TimePeriod, Tuple[Tensor, Tensor]]:
     """Sharded evaluation of ``HeteroRecommender.propagate_periods``.
 
-    Bit-identical to the unsharded fast per-period path (the caller routes
-    here only when :func:`shard_tiles_for` says the preconditions hold).
+    Bit-identical to ``HeteroRecommender.propagate_per_period`` on the fast
+    kernels (the caller routes here only when :func:`shard_tiles_for` says
+    the preconditions hold).
     One worker round per layer: every round writes the node-table
     projections for all periods into a round arena, fans ``tiles x periods``
     tasks over the process pool, stitches the returned bands, then applies

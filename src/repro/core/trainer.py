@@ -18,7 +18,6 @@ from ..optim import Adam, CosineLR, StepLR, clip_grad_norm
 from ..runtime import env_flag, tune_allocator
 from ..tensor.plan import CompiledStep
 from .model import O2SiteRec
-from .recommender import batch_periods_enabled
 from .shard import shard_train_tiles_for, use_shard_tiles, use_shard_train
 
 
@@ -146,14 +145,13 @@ class Trainer:
                 clip_fn=lambda: clip_grad_norm(
                     self.model.parameters(), cfg.grad_clip
                 ),
-                # A plan is specialised on the training-mode dropout draws,
-                # the period-batching layout and the banded-training gate;
-                # recapture if any flips (a banded step poisons its capture
-                # and runs eager -- see repro.core.shard_train -- so a gate
-                # flip must not silently replay the dense plan).
+                # A plan is specialised on the training-mode dropout draws
+                # and the banded-training gate; recapture if either flips (a
+                # banded step poisons its capture and runs eager -- see
+                # repro.core.shard_train -- so a gate flip must not silently
+                # replay the dense plan).
                 guard_fn=lambda: (
                     self.model.training,
-                    batch_periods_enabled(),
                     bool(shard_train_tiles_for(
                         getattr(self.model, "recommender", None)
                     )),

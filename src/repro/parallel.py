@@ -1,25 +1,21 @@
-"""Shared thread-pool engine for per-period parallelism.
+"""Process-pool fan-out for experiment cells, tile bands and shard tasks.
 
-The five time periods of the multi-graph propagate independently (they
-share parameters but build disjoint autograd subgraphs), and numpy releases
-the GIL inside its BLAS and reduction kernels, so a thread pool overlaps
-most of the per-period work on multi-core machines.
-
-The worker count comes from the ``O2_NUM_THREADS`` environment variable
-(``auto`` or unset picks ``min(num_tasks, cpu_count)``); it can be pinned
-programmatically with :func:`set_num_threads`.  With one worker,
-:func:`parallel_map` degrades to a plain serial loop -- the deterministic
-reference execution.  The parallel path is bit-for-bit identical to the
-serial one because every task is a pure function of inputs fixed before
-dispatch (all RNG draws happen serially, before the fan-out) and results
-are joined in task order.
+Everything in-process runs on one thread: the five time periods of the
+multi-graph propagate as one batched block-diagonal pass (see
+:mod:`repro.core.recommender`), so the bytes a seed trains never depend on
+the host's core count.  Coarse-grained work -- whole harness cells
+(simulate, build, train, evaluate), order-generation tiles, shard bands --
+fans out over worker *processes* with :func:`process_map` when
+``O2_NUM_PROCS`` asks for them.  Worker processes sidestep the GIL
+entirely, and every task seeds its own RNG state, so a fanned-out run is
+identical to the serial loop.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from .runtime import env_str
@@ -27,102 +23,15 @@ from .runtime import env_str
 T = TypeVar("T")
 R = TypeVar("R")
 
-_override: Optional[int] = None
-_executor: Optional[ThreadPoolExecutor] = None
-_executor_workers = 0
-_lock = threading.Lock()
 
-
-def _env_threads() -> Optional[int]:
-    raw = env_str("O2_NUM_THREADS", "auto")
-    if raw in ("", "auto"):
-        return None
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        raise ValueError(
-            f"O2_NUM_THREADS must be an integer or 'auto', got {raw!r}"
-        ) from None
-
-
-def num_threads(num_tasks: Optional[int] = None) -> int:
-    """Worker count: the override, else ``O2_NUM_THREADS``, else auto.
-
-    ``auto`` never exceeds the CPU count or (when given) the task count --
-    there is no point spinning up more workers than independent tasks.
-    """
-    configured = _override if _override is not None else _env_threads()
-    if configured is None:
-        configured = os.cpu_count() or 1
-        if num_tasks is not None:
-            configured = min(configured, num_tasks)
-    return max(configured, 1)
-
-
-def set_num_threads(value: Optional[int]) -> Optional[int]:
-    """Pin the worker count (``None`` defers back to ``O2_NUM_THREADS``).
-
-    Returns the previous override so callers can restore it.
-    """
-    global _override
-    previous = _override
-    if value is not None and value < 1:
-        raise ValueError("num_threads must be >= 1")
-    _override = value
-    return previous
-
-
-class use_num_threads:
-    """Context manager pinning the worker count (tests/benchmarks)."""
-
-    def __init__(self, value: Optional[int]) -> None:
-        self._value = value
-        self._previous: Optional[int] = None
-
-    def __enter__(self) -> "use_num_threads":
-        self._previous = set_num_threads(self._value)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        set_num_threads(self._previous)
-
-
-def _get_executor(workers: int) -> ThreadPoolExecutor:
-    """A process-wide pool, rebuilt only when the worker count changes."""
-    global _executor, _executor_workers
-    with _lock:
-        if _executor is None or _executor_workers != workers:
-            if _executor is not None:
-                _executor.shutdown(wait=False)
-            _executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="o2-period"
-            )
-            _executor_workers = workers
-        return _executor
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-    """``[fn(x) for x in items]``, fanned out over the thread pool.
-
-    Results keep the order of ``items``.  Serial (and executor-free) when
-    one worker is configured, one item is passed, or when called from
-    inside a pool worker (nested fan-out would deadlock a saturated pool).
-    """
-    items = list(items)
-    workers = num_threads(len(items))
-    current = threading.current_thread().name
-    if workers <= 1 or len(items) <= 1 or current.startswith("o2-period"):
-        return [fn(item) for item in items]
-    executor = _get_executor(workers)
-    return list(executor.map(fn, items))
+def num_threads() -> int:
+    """In-process worker threads: always 1, whatever the core count."""
+    return 1
 
 
 # ----------------------------------------------------------------------
-# Process-pool backend (``O2_NUM_PROCS``): coarse-grained experiment
-# fan-out.  Unlike the thread pool above -- which overlaps GIL-releasing
-# numpy kernels -- worker processes sidestep the GIL entirely, so whole
-# harness cells (simulate, build, train, evaluate) run concurrently.
-# Tasks must be top-level functions with picklable arguments and results.
+# Process-pool backend (``O2_NUM_PROCS``).  Tasks must be top-level
+# functions with picklable arguments and results.
 
 _proc_override: Optional[int] = None
 
@@ -213,7 +122,7 @@ def in_process_worker() -> bool:
 
 
 class ProcessMapError(RuntimeError):
-    """A :func:`process_map` task failed in a worker process.
+    """A :func:`process_map` task failed, or its worker process died.
 
     The pool loses the worker-side traceback at the pickle boundary, so the
     message carries what the parent needs to bisect: the failing item's
@@ -245,21 +154,23 @@ class _IndexedTask:
 # out many times per second -- one per layer per training step in sharded
 # training -- cannot afford a fork+teardown per call.  The pool is keyed by
 # (start method, worker count); a request with a different worker count
-# tears the old pool down first.  Forked workers snapshot the parent at
-# creation time, so persistent callers must ship all round-varying state
+# tears the old pool down first, and a pool that lost a worker is dropped
+# so the next call starts a fresh one.  Forked workers snapshot the parent
+# at creation time, so persistent callers must ship all round-varying state
 # through their task arguments (the shard arenas do exactly that).
-_persistent_pool = None
+_persistent_pool: Optional[ProcessPoolExecutor] = None
 _persistent_key: Optional[tuple] = None
 
 
-def _get_process_pool(ctx, method: str, workers: int):
+def _get_process_pool(ctx, method: str, workers: int) -> ProcessPoolExecutor:
     global _persistent_pool, _persistent_key
     key = (method, workers)
-    if _persistent_key != key and _persistent_pool is not None:
-        _persistent_pool.terminate()
-        _persistent_pool = None
+    if _persistent_key != key:
+        shutdown_process_pool()
     if _persistent_pool is None:
-        _persistent_pool = ctx.Pool(processes=workers, initializer=_mark_worker)
+        _persistent_pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=ctx, initializer=_mark_worker
+        )
         _persistent_key = key
         import atexit
 
@@ -268,10 +179,10 @@ def _get_process_pool(ctx, method: str, workers: int):
 
 
 def shutdown_process_pool() -> None:
-    """Terminate the persistent :func:`process_map` pool (tests/atexit)."""
+    """Stop the persistent :func:`process_map` pool (tests/atexit)."""
     global _persistent_pool, _persistent_key
     if _persistent_pool is not None:
-        _persistent_pool.terminate()
+        _persistent_pool.shutdown(wait=True, cancel_futures=True)
         _persistent_pool = None
         _persistent_key = None
 
@@ -290,9 +201,9 @@ def process_map(
     task must seed its own RNG state (cf. ``harness._seed_init``) so results
     are identical to the serial loop regardless of which worker runs which
     item.  Workers are forked where available (cheap, inherits imports) and
-    spawned elsewhere.  ``chunksize`` is handed to ``Pool.map`` unchanged:
-    the default lets multiprocessing pick its batch size, ``1`` keeps
-    long-running heterogeneous tasks load-balanced across workers.
+    spawned elsewhere.  ``chunksize`` items travel to a worker per
+    submission: the default batches about four submissions per worker,
+    ``1`` keeps long-running heterogeneous tasks load-balanced.
 
     ``persistent=True`` reuses one process-wide pool across calls (see
     :func:`_get_process_pool`) -- the fan-out pattern of sharded training,
@@ -300,7 +211,9 @@ def process_map(
 
     A task that raises in a worker surfaces as :class:`ProcessMapError`
     naming the failing item's index and (truncated) repr, chained from the
-    original exception where pickling preserves it.
+    original exception where pickling preserves it.  A worker that dies
+    outright (a crash, an OOM kill) also raises :class:`ProcessMapError`
+    instead of leaving the call waiting forever.
     """
     items = list(items)
     workers = num_procs() if procs is None else max(procs, 0)
@@ -309,10 +222,22 @@ def process_map(
         return [fn(item) for item in items]
     import multiprocessing as mp
 
+    if chunksize is None:
+        chunksize = -(-len(items) // (4 * workers))
     method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     ctx = mp.get_context(method)
-    if persistent:
-        pool = _get_process_pool(ctx, method, workers)
-        return pool.map(_IndexedTask(fn), list(enumerate(items)), chunksize)
-    with ctx.Pool(processes=workers, initializer=_mark_worker) as pool:
-        return pool.map(_IndexedTask(fn), list(enumerate(items)), chunksize)
+    task, indexed = _IndexedTask(fn), list(enumerate(items))
+    try:
+        if persistent:
+            pool = _get_process_pool(ctx, method, workers)
+            return list(pool.map(task, indexed, chunksize=chunksize))
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=ctx, initializer=_mark_worker
+        ) as pool:
+            return list(pool.map(task, indexed, chunksize=chunksize))
+    except BrokenProcessPool as exc:
+        if persistent:
+            shutdown_process_pool()
+        raise ProcessMapError(
+            f"a process_map worker died before returning its results ({exc})"
+        ) from exc

@@ -91,3 +91,32 @@ def micro_split(micro_dataset):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture()
+def per_period_reference(monkeypatch):
+    """``route(model)`` runs the model's dense passes on the per-period oracle.
+
+    ``HeteroRecommender._propagate_batched`` is the one dense entry point of
+    both ``forward`` and ``propagate_periods``; stacking the outputs of
+    ``propagate_per_period`` in its place makes every dense pass compute the
+    reference that the batched pass matches to ~1e-15 and that sharded eval
+    reproduces byte for byte.  Sharded passes are left untouched.
+    """
+    from repro.data.periods import TimePeriod
+    from repro.tensor import concat
+
+    def route(model):
+        recommender = model.recommender
+
+        def stacked(capacity_su=None):
+            out = recommender.propagate_per_period(capacity_su)
+            return tuple(
+                concat([out[period][i] for period in TimePeriod], axis=0)
+                for i in (0, 1)
+            )
+
+        monkeypatch.setattr(recommender, "_propagate_batched", stacked)
+        return model
+
+    return route

@@ -10,18 +10,21 @@ Three layers of guarantees, matching what the fast path promises:
   forward and pass a central-difference gradient check -- with the compiled
   C kernels both on and off;
 * whole-model predictions and training-loss curves agree between the
-  reference path and every fast configuration (threaded, batched, factored
-  capacity), with threaded-vs-serial bit-for-bit.
+  reference path, the per-period oracle and every fast configuration
+  (batched, factored capacity), and the default path trains the same bytes
+  whatever the host's core count.
 """
 
 from __future__ import annotations
+
+import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from repro.core import O2SiteRec, O2SiteRecConfig, TrainConfig, Trainer
 from repro.nn import FactoredEdgeAttr, MultiHeadSegmentAttention, init
-from repro.parallel import use_num_threads
 from repro.tensor import (
     Tensor,
     concat,
@@ -285,16 +288,20 @@ class TestFactoredEdgeAttr:
         np.testing.assert_allclose(out_f.data, out_r.data, atol=1e-9)
 
 
-def _fit_curve(dataset, split, config, epochs=3):
+def _fit(dataset, split, config, epochs=3, route=lambda model: model):
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
     init.seed(7)
-    model = O2SiteRec(dataset, split, config)
+    model = route(O2SiteRec(dataset, split, config))
     trainer = Trainer(
         model,
         TrainConfig(epochs=epochs, lr=1e-3, patience=epochs, min_epochs=epochs),
     )
-    result = trainer.fit(pairs, targets)
+    return model, trainer.fit(pairs, targets)
+
+
+def _fit_curve(dataset, split, config, epochs=3, route=lambda model: model):
+    model, result = _fit(dataset, split, config, epochs, route)
     init.seed(7)  # predict in eval mode is RNG-free, reseed for symmetry
     return np.asarray(result.train_losses), model.predict(split.test_pairs)
 
@@ -323,34 +330,28 @@ class TestPathEquivalence:
         np.testing.assert_allclose(curve_fast, curve_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(pred_fast, pred_ref, rtol=0, atol=1e-9)
 
-    def test_threaded_matches_serial_bitwise(self, micro_dataset, micro_split):
-        from repro.core.recommender import set_batch_periods
+    def test_same_bytes_on_any_host(self, micro_dataset, micro_split, monkeypatch):
+        """One seed, one byte stream: the default path ignores the core count."""
+        fingerprints = []
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            model, result = _fit(micro_dataset, micro_split, ABLATIONS["full"])
+            digest = hashlib.sha256()
+            for param in model.parameters():
+                digest.update(param.data.tobytes())
+            fingerprints.append(
+                (result.train_losses, result.validation_losses, digest.hexdigest())
+            )
+        assert fingerprints[1] == fingerprints[0]
+        assert fingerprints[2] == fingerprints[0]
 
-        config = ABLATIONS["full"]
-        previous = set_batch_periods(False)
-        try:
-            with use_num_threads(1):
-                curve_serial, pred_serial = _fit_curve(
-                    micro_dataset, micro_split, config
-                )
-            with use_num_threads(4):
-                curve_threaded, pred_threaded = _fit_curve(
-                    micro_dataset, micro_split, config
-                )
-        finally:
-            set_batch_periods(previous)
-        np.testing.assert_array_equal(curve_threaded, curve_serial)
-        np.testing.assert_array_equal(pred_threaded, pred_serial)
-
-    def test_batched_matches_per_period(self, micro_dataset, micro_split):
-        from repro.core.recommender import set_batch_periods
-
+    def test_batched_matches_per_period(
+        self, micro_dataset, micro_split, per_period_reference
+    ):
         config = ABLATIONS["full"]
         curve_batched, pred_batched = _fit_curve(micro_dataset, micro_split, config)
-        previous = set_batch_periods(False)
-        try:
-            curve_pp, pred_pp = _fit_curve(micro_dataset, micro_split, config)
-        finally:
-            set_batch_periods(previous)
+        curve_pp, pred_pp = _fit_curve(
+            micro_dataset, micro_split, config, route=per_period_reference
+        )
         np.testing.assert_allclose(curve_batched, curve_pp, rtol=0, atol=1e-9)
         np.testing.assert_allclose(pred_batched, pred_pp, rtol=0, atol=1e-9)

@@ -1,12 +1,18 @@
 """Process-pool experiment fan-out (``O2_NUM_PROCS``).
 
-The contract is the same as the thread pool's: a fanned-out run must be
-*indistinguishable* from the serial one -- every harness cell seeds its own
-RNG state, so the comparison table cannot depend on which worker ran which
-cell, or in what order.
+A fanned-out run must be *indistinguishable* from the serial one -- every
+harness cell seeds its own RNG state, so the comparison table cannot depend
+on which worker ran which cell, or in what order -- and a worker that dies
+must fail the call instead of hanging it.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +78,47 @@ def test_process_map_surfaces_worker_failures():
     assert "ValueError" in message
     assert "bad item 3" in message
     assert "(item: 3)" in message
+
+
+# Run in a child interpreter under a timeout: a pool that waits forever on
+# a dead worker then fails this test instead of hanging the suite.
+_WORKER_DEATH_SCRIPT = textwrap.dedent(
+    """
+    import os
+    from repro import parallel
+
+    def die_on_one(x):
+        if x == 1:
+            os._exit(1)
+        return x
+
+    for persistent in (False, True):
+        try:
+            parallel.process_map(die_on_one, range(4), procs=2, persistent=persistent)
+        except parallel.ProcessMapError as exc:
+            assert "died" in str(exc), exc
+        else:
+            raise SystemExit("a dead worker went unreported")
+    # The broken persistent pool was dropped: the next call gets a fresh one.
+    fresh = parallel.process_map(abs, [-1, -2, -3], procs=2, persistent=True)
+    assert fresh == [1, 2, 3], fresh
+    parallel.shutdown_process_pool()
+    print("ok")
+    """
+)
+
+
+def test_process_map_raises_when_a_worker_dies():
+    src = Path(parallel.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", _WORKER_DEATH_SCRIPT],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_process_map_serial_path_raises_original():

@@ -18,26 +18,22 @@ import pytest
 from repro import parallel
 from repro.core import shard
 from repro.core.model import O2SiteRec, O2SiteRecConfig
-from repro.core.recommender import set_batch_periods
 from repro.core.trainer import TrainConfig, Trainer
 from repro.tensor import cnative
 
 
 @pytest.fixture(autouse=True)
 def _restore_toggles():
-    """Every test leaves the global shard/pool/batching state untouched."""
+    """Every test leaves the global shard/pool/kernel state untouched."""
     prev_tiles = shard.set_shard_tiles(None)
     shard.set_shard_tiles(prev_tiles)
     prev_procs = parallel.set_num_procs(None)
     parallel.set_num_procs(prev_procs)
-    prev_bp = set_batch_periods(True)
-    set_batch_periods(prev_bp)
     prev_c = cnative.set_c_kernels(True)
     cnative.set_c_kernels(prev_c)
     yield
     shard.set_shard_tiles(prev_tiles)
     parallel.set_num_procs(prev_procs)
-    set_batch_periods(prev_bp)
     cnative.set_c_kernels(prev_c)
 
 
@@ -57,6 +53,12 @@ def _propagate_sha(model, tiles: int, procs: int) -> str:
     return _sha_periods(model.recommender.propagate_periods(capacity_su))
 
 
+def _reference_sha(model) -> str:
+    """The per-period reference oracle every sharded run must reproduce."""
+    capacity_su, _ = model._capacity_pass()
+    return _sha_periods(model.recommender.propagate_per_period(capacity_su))
+
+
 @pytest.mark.parametrize("variant", ["full", "wo_co", "wo_cocu"])
 def test_sharded_bitwise_equals_unsharded(dataset, variant):
     config = O2SiteRecConfig()
@@ -64,10 +66,9 @@ def test_sharded_bitwise_equals_unsharded(dataset, variant):
         config = config.without_capacity()
     elif variant == "wo_cocu":
         config = config.without_capacity_and_preferences()
-    set_batch_periods(False)
     model = O2SiteRec(dataset, config=config)
     model.eval()
-    reference = _propagate_sha(model, tiles=0, procs=0)
+    reference = _reference_sha(model)
     assert _propagate_sha(model, tiles=3, procs=0) == reference
     assert _propagate_sha(model, tiles=3, procs=2) == reference
     # Non-divisible band count and the maximum (one band per grid row).
@@ -78,18 +79,16 @@ def test_sharded_bitwise_equals_unsharded(dataset, variant):
 
 @pytest.mark.skipif(not cnative.available(), reason="C kernels not built")
 def test_sharded_bitwise_without_c_kernels(dataset):
-    set_batch_periods(False)
     cnative.set_c_kernels(False)
     model = O2SiteRec(dataset)
     model.eval()
-    reference = _propagate_sha(model, tiles=0, procs=0)
+    reference = _reference_sha(model)
     assert _propagate_sha(model, tiles=3, procs=0) == reference
     assert _propagate_sha(model, tiles=3, procs=2) == reference
 
 
-def test_fit_identical_with_sharded_eval(dataset, split):
+def test_fit_identical_with_sharded_eval(dataset, split, per_period_reference):
     """Loss curves and final parameters survive sharded eval untouched."""
-    set_batch_periods(False)
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
 
@@ -97,7 +96,9 @@ def test_fit_identical_with_sharded_eval(dataset, split):
         from repro.nn import init
 
         init.seed(0)
-        model = O2SiteRec(dataset, split=split)
+        # Unsharded evals run the per-period reference, which sharded
+        # evals reproduce byte for byte.
+        model = per_period_reference(O2SiteRec(dataset, split=split))
         trainer = Trainer(
             model,
             TrainConfig(epochs=2, min_epochs=1, seed=0,
@@ -163,14 +164,13 @@ def test_no_shard_inside_pool_worker(dataset, monkeypatch):
     assert shard.shard_tiles_for(model.recommender) == 0
 
 
-def test_snapshot_from_sharded_build_matches(dataset, split):
+def test_snapshot_from_sharded_build_matches(dataset, split, per_period_reference):
     """Per-tile snapshot build: same fingerprint, tiles recorded in meta."""
     from repro.nn import init
     from repro.serve.snapshot import ModelSnapshot
 
-    set_batch_periods(False)
     init.seed(0)
-    model = O2SiteRec(dataset, split=split)
+    model = per_period_reference(O2SiteRec(dataset, split=split))
     model.eval()
     plain = ModelSnapshot.from_model(model, shard_tiles=0)
     tiled = ModelSnapshot.from_model(model, shard_tiles=3)

@@ -18,7 +18,6 @@ import pytest
 from repro import parallel
 from repro.core import shard, shard_train
 from repro.core.model import O2SiteRec
-from repro.core.recommender import set_batch_periods
 from repro.core.trainer import TrainConfig, Trainer
 from repro.nn import init
 from repro.nn.attention import FactoredEdgeAttr, MultiHeadSegmentAttention
@@ -31,7 +30,7 @@ from repro.tensor.segment import SegmentPlan, get_plan
 
 @pytest.fixture(autouse=True)
 def _restore_toggles():
-    """Every test leaves the global shard/pool/batching state untouched."""
+    """Every test leaves the global shard/pool/kernel state untouched."""
     prev_tiles = shard.set_shard_tiles(None)
     shard.set_shard_tiles(prev_tiles)
     prev_train = shard.set_shard_train(None)
@@ -42,15 +41,12 @@ def _restore_toggles():
     cnative.set_c_kernels(prev_c)
     prev_pool = pool.set_buffer_pool(True)
     pool.set_buffer_pool(prev_pool)
-    prev_bp = set_batch_periods(True)
-    set_batch_periods(prev_bp)
     yield
     shard.set_shard_tiles(prev_tiles)
     shard.set_shard_train(prev_train)
     parallel.set_num_procs(prev_procs)
     cnative.set_c_kernels(prev_c)
     pool.set_buffer_pool(prev_pool)
-    set_batch_periods(prev_bp)
 
 
 def _params_sha(model) -> str:
@@ -309,11 +305,6 @@ def test_train_gate_reasons(dataset):
     assert "disabled" in shard.shard_train_gate_reason()
 
     shard.set_shard_train(None)
-    set_batch_periods(False)
-    assert shard.shard_train_tiles_for(rec) == 0
-    assert "period batching off" in shard.shard_train_gate_reason()
-
-    set_batch_periods(True)
     tiles = shard.shard_train_tiles_for(rec)
     rows = rec.grid_shape[0]
     assert tiles == min(3, rows) and tiles > 1
