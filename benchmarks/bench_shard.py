@@ -4,25 +4,27 @@ Three fresh-subprocess legs on the metropolis preset (10k+ regions, ~1.3M
 S-U edges across five periods), identical except for the tile switch read
 at import time and the propagation entry point they time:
 
-* ``single``    -- ``O2_SHARD_TILES=0``: the repo's default single-process
-  configuration (period-batched propagation, full-graph kernels);
+* ``single``    -- ``O2_SHARD_TILES=0``: the dense period-batched pass
+  (full-graph kernels), the reference the band sweep is pinned to;
 * ``perperiod`` -- ``O2_SHARD_TILES=0``, timing
-  ``HeteroRecommender.propagate_per_period``: the per-period reference
-  path, the exact FP op sequence the sharded executor promises to
-  reproduce byte-for-byte;
-* ``sharded``   -- ``O2_SHARD_TILES=8``: grid-tile banded propagation.
-  On a single core this runs as the in-process band sweep (no forks); the
-  win is cache tiling -- band-local edge intermediates stay resident
-  instead of streaming ~85 MB of full-graph temporaries through DRAM per
-  kernel -- plus value-only execution with no autograd tape.  With
+  ``HeteroRecommender.propagate_per_period``: the per-period test oracle;
+* ``sharded``   -- ``O2_SHARD_TILES=8``: the same batched pass with its
+  layers swept over grid-tile row bands.  On a single core this runs as
+  the in-process band sweep (no forks); the win is cache tiling --
+  band-local edge intermediates stay resident instead of streaming
+  ~85 MB of full-graph temporaries through DRAM per kernel.  With
   ``O2_NUM_PROCS`` set on a multi-core host the same bands fan out over a
   process pool and shared read-only arenas.
 
-Every leg records a SHA-256 over the propagated ``(h, q)`` tensors of all
-periods; the driver asserts ``sharded`` is *identical* to ``perperiod``
-(the batched leg differs in summation order by design, ~1e-15).  The
-sharded leg must also report that the gate actually engaged, so the
-speedup is measuring the executor and not a silent fallback.
+Every leg propagates under :func:`repro.tensor.no_grad`, as the product's
+eval entry points (``predict``, ``export_embeddings``) do, and records a
+SHA-256 over the propagated ``(h, q)`` tensors of all periods.  The driver
+asserts ``sharded`` is *identical* to both ``single`` and ``perperiod``:
+in eval mode the batched pass and the per-period oracle have given the
+same bytes on every city measured (they differ in training, where the
+batched weight gradients sum all periods' rows in one taller matmul).
+The sharded leg must also report that the gate actually engaged, so the
+speedup is measuring the engine and not a silent fallback.
 
 Usage::
 
@@ -74,6 +76,7 @@ def run_leg(leg: str, scale: float, reps: int) -> dict:
     from repro.core.model import O2SiteRec
     from repro.nn import init
     from repro.runtime import tune_allocator
+    from repro.tensor import no_grad
 
     tune_allocator()
 
@@ -82,7 +85,8 @@ def run_leg(leg: str, scale: float, reps: int) -> dict:
     model = O2SiteRec(dataset)
     model.eval()
     rec = model.recommender
-    capacity_su, _ = model._capacity_pass()
+    with no_grad():
+        capacity_su, _ = model._capacity_pass()
     tiles_engaged = shard.shard_tiles_for(rec, capacity_su)
     propagate = (
         rec.propagate_per_period if leg == "perperiod" else rec.propagate_periods
@@ -100,7 +104,8 @@ def run_leg(leg: str, scale: float, reps: int) -> dict:
     gc.collect()
     for _ in range(reps):
         started = time.perf_counter()
-        out = propagate(capacity_su)
+        with no_grad():
+            out = propagate(capacity_su)
         times.append(time.perf_counter() - started)
         digest = sha_periods(out)
         assert sha is None or digest == sha, "propagation is not deterministic"
@@ -157,12 +162,13 @@ def check_legs(legs: dict) -> None:
         raise SystemExit("perperiod leg unexpectedly sharded")
     if legs["sharded"]["tiles_engaged"] <= 1:
         raise SystemExit("sharded leg did not engage the tile gate")
-    if legs["sharded"]["sha"] != legs["perperiod"]["sha"]:
-        raise SystemExit(
-            "sharded propagation is NOT bit-identical to the per-period "
-            f"reference: {legs['sharded']['sha'][:16]} != "
-            f"{legs['perperiod']['sha'][:16]}"
-        )
+    for ref in ("single", "perperiod"):
+        if legs["sharded"]["sha"] != legs[ref]["sha"]:
+            raise SystemExit(
+                f"sharded propagation is NOT bit-identical to the {ref} "
+                f"leg: {legs['sharded']['sha'][:16]} != "
+                f"{legs[ref]['sha'][:16]}"
+            )
 
 
 def format_report(legs: dict, scale: float, mode: str, floor: float) -> str:
@@ -203,8 +209,8 @@ def format_report(legs: dict, scale: float, mode: str, floor: float) -> str:
         f"page-in, the memory gap remains)",
         f"peak RSS: {single['peak_rss_mb']:.0f} MB single vs "
         f"{sharded['peak_rss_mb']:.0f} MB sharded ({rss_ratio:.1f}x)",
-        f"bit-identical to per-period reference: "
-        f"{sharded['sha'] == perperiod['sha']}",
+        f"bit-identical to the single and perperiod legs: "
+        f"{sharded['sha'] == single['sha'] == perperiod['sha']}",
     ]
     return "\n".join(lines)
 

@@ -4,9 +4,9 @@ Three fresh-subprocess legs run the same eager batch-128 Adam steps on the
 metropolis preset (10k+ regions), identical except for the ``O2_*``
 switches read at import time:
 
-* ``reference`` -- ``O2_SHARD_TRAIN=0``: the dense training step (full-
+* ``reference`` -- ``O2_SHARD_TILES=0``: the dense training step (full-
   range autograd attention per relation per period);
-* ``serial``    -- ``O2_SHARD_TRAIN=1 O2_SHARD_TILES=8 O2_NUM_PROCS=0``:
+* ``serial``    -- ``O2_SHARD_TILES=8 O2_NUM_PROCS=0``:
   the banded step as the in-process cache-tiled band sweep.  The win is
   locality: band-sized edge intermediates stay cache-resident through the
   block-sweep backward instead of streaming full-graph temporaries
@@ -20,7 +20,7 @@ switches read at import time:
   overlaps with compute; its time is recorded but excluded from floors.
 
 All legs pin ``O2_COMPILE_STEP=0``: a banded step poisons an active
-capture by design (see DESIGN.md section 14), so eager-vs-eager isolates
+capture by design (see DESIGN.md section 12), so eager-vs-eager isolates
 the executor.  Every leg records its per-step losses and a SHA-256 over
 the final parameters; the driver asserts both banded legs are *bitwise
 identical* to the reference, and that the gate actually engaged, so the
@@ -73,7 +73,7 @@ BATCH = 128
 def run_leg(leg: str, scale: float, steps: int) -> dict:
     import numpy as np
 
-    from repro.core import shard, shard_train
+    from repro.core import shard
     from repro.core.model import O2SiteRec
     from repro.nn import init
     from repro.optim import Adam, clip_grad_norm
@@ -124,7 +124,7 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
         "param_sha": digest.hexdigest(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
-        "stats": shard_train.shard_train_stats(),
+        "stats": shard.shard_train_stats(),
     }
 
 
@@ -135,16 +135,14 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
 # Eager on every leg: the banded step poisons replay capture by design, so
 # compiled-vs-eager would measure the fallback, not the executor.
 LEG_ENV = {
-    "reference": {"O2_COMPILE_STEP": "0", "O2_SHARD_TRAIN": "0"},
+    "reference": {"O2_COMPILE_STEP": "0", "O2_SHARD_TILES": "0"},
     "serial": {
         "O2_COMPILE_STEP": "0",
-        "O2_SHARD_TRAIN": "1",
         "O2_SHARD_TILES": str(SHARD_TILES),
         "O2_NUM_PROCS": "0",
     },
     "forked": {
         "O2_COMPILE_STEP": "0",
-        "O2_SHARD_TRAIN": "1",
         "O2_SHARD_TILES": str(SHARD_TILES),
         "O2_NUM_PROCS": "2",
     },

@@ -6,7 +6,10 @@ Two layers of measurement on the real-city preset:
    ``np.maximum.at`` scatters, the ten-node aggregator chain) against their
    replacements (SegmentPlan bincount/reduceat kernels, the fused
    ``edge_message`` / ``segment_attention`` nodes, and the compiled C
-   kernels where available), at the benchmark city's S-U edge shape.
+   kernels where available), at the benchmark city's S-U edge shape.  They
+   run in their own subprocess with one BLAS/OpenMP thread
+   (:data:`MICRO_ENV`): on a multi-core host, multi-threaded OpenBLAS on
+   these small matmuls dominates the rows and misreports the kernels.
 2. *End-to-end epochs* -- each leg runs in a fresh subprocess so allocator
    state and kernel switches cannot leak between them.  The reference leg
    re-creates the pre-optimisation configuration (``O2_FAST_KERNELS=0``,
@@ -142,8 +145,17 @@ def spawn_leg(name: str, scale: float, steps: int) -> dict:
     )
 
 
+MICRO_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+def spawn_micro(quick: bool) -> list:
+    return common.run_bench_leg(
+        __file__, "micro", ["--quick"] if quick else [], env=MICRO_ENV
+    )
+
+
 # ---------------------------------------------------------------------------
-# Op microbenchmarks (in-process).
+# Op microbenchmarks (the ``micro`` leg).
 # ---------------------------------------------------------------------------
 
 def _time_ms(fn, reps: int) -> float:
@@ -276,11 +288,16 @@ def micro_benchmarks(quick: bool) -> list:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke mode")
-    parser.add_argument("--leg", choices=sorted(LEG_ENV), help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--leg", choices=sorted(LEG_ENV) + ["micro"], help=argparse.SUPPRESS
+    )
     parser.add_argument("--scale", type=float, default=None)
     parser.add_argument("--steps", type=int, default=None)
     args = parser.parse_args()
 
+    if args.leg == "micro":
+        print(json.dumps(micro_benchmarks(args.quick)))
+        return 0
     if args.leg:
         print(json.dumps(run_leg(args.scale, args.steps)))
         return 0
@@ -290,7 +307,7 @@ def main() -> int:
     steps = args.steps if args.steps is not None else (6 if quick else 15)
     floor = 1.0 if quick else 3.0
 
-    micro = micro_benchmarks(quick)
+    micro = spawn_micro(quick)
     legs = {name: spawn_leg(name, scale, steps) for name in ("ref", "fast")}
 
     loss_delta = abs(
@@ -305,7 +322,9 @@ def main() -> int:
         f"batch_size={BATCH_SIZE}  pairs={legs['fast']['num_pairs']}  "
         f"batches/epoch={legs['fast']['num_batches']}",
         "",
-        "op microbenchmarks (median ms, old vs new):",
+        "op microbenchmarks (median ms, old vs new; "
+        + " ".join(f"{k}={v}" for k, v in MICRO_ENV.items())
+        + "):",
     ]
     for row in micro:
         lines.append(
@@ -344,6 +363,7 @@ def main() -> int:
         "fast": legs["fast"],
         "speedup": {"batch_epoch": speedup_batch, "full_epoch": speedup_full},
         "loss_delta": loss_delta,
+        "micro_env": MICRO_ENV,
         "micro": micro,
     }
     (ROOT / "BENCH_train.json").write_text(json.dumps(payload, indent=2) + "\n")

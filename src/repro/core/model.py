@@ -37,7 +37,7 @@ from ..graphs import (
 )
 from ..nn import Module
 from ..optim import mse_loss
-from ..tensor import Tensor, fast_kernels_enabled
+from ..tensor import Tensor, fast_kernels_enabled, no_grad, use_buffer_pool
 from ..tensor import plan as _plan
 from ..tensor.segment import invalidate_plans_for
 from .capacity import CourierCapacityModel
@@ -147,7 +147,7 @@ class O2SiteRec(Module):
             product_channel=cfg.product_channel,
             commercial_in_predictor=cfg.commercial_in_predictor,
         )
-        # Grid geometry enables grid-tile sharded eval (repro.core.shard).
+        # Grid geometry enables grid-tile banding (repro.core.shard).
         self.recommender.grid_shape = (dataset.grid.rows, dataset.grid.cols)
 
         self._store_index = {
@@ -286,11 +286,12 @@ class O2SiteRec(Module):
         return total, float(o2.data), float(o1.data)
 
     def predict(self, pairs: np.ndarray) -> np.ndarray:
-        """Inference-mode predictions as a numpy array."""
+        """Inference-mode predictions as a numpy array (no autograd tape)."""
         was_training = self.training
         self.eval()
         try:
-            return self.forward(pairs).numpy().copy()
+            with no_grad():
+                return self.forward(pairs).numpy().copy()
         finally:
             if was_training:
                 self.train()
@@ -304,16 +305,21 @@ class O2SiteRec(Module):
         query-independent: scoring any (region, type) pair afterwards only
         needs a gather + time attention + the predictor MLP, which is what
         :class:`repro.serve.ModelSnapshot` exploits.
+
+        Runs with no autograd tape and outside the buffer pool: a one-shot
+        export never reuses its buffers, so pooling them would only keep
+        them resident.
         """
         was_training = self.training
         self.eval()
         try:
-            capacity_su, _ = self._capacity_pass()
-            per_period = self.recommender.propagate_periods(capacity_su)
-            return {
-                period: (h.data.copy(), q.data.copy())
-                for period, (h, q) in per_period.items()
-            }
+            with no_grad(), use_buffer_pool(False):
+                capacity_su, _ = self._capacity_pass()
+                per_period = self.recommender.propagate_periods(capacity_su)
+                return {
+                    period: (h.data.copy(), q.data.copy())
+                    for period, (h, q) in per_period.items()
+                }
         finally:
             if was_training:
                 self.train()

@@ -357,8 +357,8 @@ class HeteroRecommender(Module):
         # pair-array identity like the commercial rows.
         self._offset_idx_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         # (rows, cols) of the underlying region grid, attached by O2SiteRec;
-        # required (with eval mode + fast kernels) for grid-tile sharded
-        # propagation (repro.core.shard) to engage.
+        # required (with the fast kernels) for grid-tile banded propagation
+        # (repro.core.shard) to engage.
         self.grid_shape: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------
@@ -438,7 +438,10 @@ class HeteroRecommender(Module):
 
         Row block ``p`` of the outputs is period ``p``'s embedding matrix.
         Dropout masks are drawn in the same order as the per-period
-        reference, so both consume an identical RNG stream.
+        reference, so both consume an identical RNG stream.  The layers run
+        as the dense loop below or, once the shard gate engages, as the
+        grid-tile band sweep (:mod:`repro.core.shard`) -- in eval and in
+        training alike, bit-identical either way.
         """
         periods = list(TimePeriod)
         if self._batched_edges is None:
@@ -479,16 +482,15 @@ class HeteroRecommender(Module):
         h = concat([d[0] for d in dropped], axis=0)
         z = concat([d[1] for d in dropped], axis=0)
         q = concat([q0] * len(periods), axis=0)
-        from .shard import shard_train_tiles_for
+        from . import shard
 
-        tiles = shard_train_tiles_for(self, capacity_su)
+        tiles = shard.shard_tiles_for(self, capacity_su)
         if tiles:
-            # Banded sharded training step (O2_SHARD_TRAIN): same layers,
-            # same stacked edges, bit-identical outputs and gradients --
-            # see repro.core.shard_train.
-            from .shard_train import apply_layers_banded
-
-            h, z, q = apply_layers_banded(self, edges, h, z, q, tiles)
+            # Looked up through the module at call time, so a wrapper
+            # installed on ``shard.propagate_periods_sharded`` sees the call.
+            h, z, q = shard.propagate_periods_sharded(
+                self, edges, h, z, q, tiles
+            )
         else:
             for layer in self.layers:
                 h, z, q = layer(h, z, q, edges, self.use_preferences)
@@ -500,9 +502,9 @@ class HeteroRecommender(Module):
         """Steps 2-3 one period at a time: the reference oracle.
 
         A plain serial loop over the period graphs that fuses the nodes
-        afresh for each period.  The batched pass matches it to ~1e-15: its
-        weight gradients sum all periods' rows in one taller matmul.
-        Sharded eval (:mod:`repro.core.shard`) reproduces it byte for byte.
+        afresh for each period.  The batched pass matches it to ~1e-15 in
+        training: its weight gradients sum all periods' rows in one taller
+        matmul.
         """
         out: Dict[TimePeriod, Tuple[Tensor, Tensor]] = {}
         for period in TimePeriod:
@@ -526,20 +528,12 @@ class HeteroRecommender(Module):
         every online query (see :mod:`repro.serve`).
 
         On the fast kernels this is one batched pass over the period-stacked
-        graph, or the grid-tile band sweep once the shard gate engages; the
-        reference kernels run :meth:`propagate_per_period`.  The path never
-        depends on the host's core count.
+        graph (its layers swept over grid-tile row bands once the shard gate
+        engages); the reference kernels run :meth:`propagate_per_period`.
+        The path never depends on the host's core count.
         """
         if not fast_kernels_enabled():
             return self.propagate_per_period(capacity_su)
-
-        from .shard import propagate_periods_sharded, shard_tiles_for
-
-        tiles = shard_tiles_for(self, capacity_su)
-        if tiles:
-            # Metropolis-scale eval: fan the aggregation out over grid-tile
-            # workers; bit-identical to the per-period path.
-            return propagate_periods_sharded(self, capacity_su, tiles)
 
         h_b, q_b = self._propagate_batched(capacity_su)
         n_s, n_t = self.graph.num_store_nodes, self.graph.num_types
@@ -558,10 +552,8 @@ class HeteroRecommender(Module):
         capacity_su: Optional[Dict[TimePeriod, Tensor]] = None,
     ) -> Tensor:
         """Predict normalised order counts for (store-node, type) pairs."""
-        from .shard import shard_tiles_for
-
         periods = list(TimePeriod)
-        if fast_kernels_enabled() and not shard_tiles_for(self, capacity_su):
+        if fast_kernels_enabled():
             # Batched path: gather all periods' pair rows straight from the
             # stacked embeddings with period-offset indices -- one gather
             # per node family instead of one per family per period.
@@ -586,7 +578,7 @@ class HeteroRecommender(Module):
                 fused = stacked.mean(axis=0)  # w/o SA ablation
         else:
             per_period: List[Tensor] = []
-            per_period_hq = self.propagate_periods(capacity_su)
+            per_period_hq = self.propagate_per_period(capacity_su)
             for period in periods:
                 h_t, q_t = per_period_hq[period]
                 h_pairs = gather_rows(h_t, pairs_store_idx)

@@ -18,7 +18,7 @@ from ..optim import Adam, CosineLR, StepLR, clip_grad_norm
 from ..runtime import env_flag, tune_allocator
 from ..tensor.plan import CompiledStep
 from .model import O2SiteRec
-from .shard import shard_train_tiles_for, use_shard_tiles, use_shard_train
+from .shard import shard_tiles_for, use_shard_tiles
 
 
 @dataclass
@@ -41,16 +41,12 @@ class TrainConfig:
     # defers to the ``O2_COMPILE_STEP`` env switch (default on); replay is
     # bit-identical to eager, so this is purely a throughput knob.
     compile_step: Optional[bool] = None
-    # Grid-tile sharded eval propagation (see repro.core.shard).  None
-    # defers to ``O2_SHARD_TILES`` / the automatic metropolis threshold;
-    # an explicit count pins it for every eval pass of this fit.
+    # Grid-tile banded propagation (see repro.core.shard) for every
+    # training step and eval pass of this fit.  None defers to
+    # ``O2_SHARD_TILES`` / the automatic metropolis threshold; an explicit
+    # count pins it, and 0 pins the dense layer loop.  Bit-identical
+    # either way.
     shard_tiles: Optional[int] = None
-    # Banded sharded *training* steps (see repro.core.shard_train).  None
-    # defers to ``O2_SHARD_TRAIN`` (default on; the band count still comes
-    # from ``shard_tiles`` / ``O2_SHARD_TILES`` and the metropolis
-    # threshold); ``False`` pins every step of this fit to the dense
-    # reference path.  Bit-identical either way.
-    shard_train: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.schedule not in (None, "cosine", "step"):
@@ -146,13 +142,13 @@ class Trainer:
                     self.model.parameters(), cfg.grad_clip
                 ),
                 # A plan is specialised on the training-mode dropout draws
-                # and the banded-training gate; recapture if either flips (a
-                # banded step poisons its capture and runs eager -- see
-                # repro.core.shard_train -- so a gate flip must not silently
+                # and the shard gate; recapture if either flips (a banded
+                # step poisons its capture and runs eager -- see
+                # repro.core.shard -- so a gate flip must not silently
                 # replay the dense plan).
                 guard_fn=lambda: (
                     self.model.training,
-                    bool(shard_train_tiles_for(
+                    bool(shard_tiles_for(
                         getattr(self.model, "recommender", None)
                     )),
                 ),
@@ -161,9 +157,7 @@ class Trainer:
             # plan; swap the arena to the matching malloc profile.
             tune_allocator(profile="pinned")
         try:
-            with use_shard_tiles(cfg.shard_tiles), use_shard_train(
-                cfg.shard_train
-            ):
+            with use_shard_tiles(cfg.shard_tiles):
                 return self._fit_loop(
                     cfg, fit_pairs, fit_targets, val_pairs, val_targets, rng,
                     train_losses, val_losses, best_val, best_state, bad_epochs,

@@ -188,15 +188,17 @@ class ModelSnapshot:
     ) -> "ModelSnapshot":
         """Freeze a live :class:`~repro.core.O2SiteRec` for serving.
 
-        ``shard_tiles`` pins the grid-tile count of the embedding export's
-        propagation (:mod:`repro.core.shard`): the snapshot is assembled
-        from per-tile partial aggregations instead of one monolithic
-        sweep, which is how metropolis-scale snapshots stay inside the
-        build host's cache/memory budget.  ``None`` defers to the usual
-        ``O2_SHARD_TILES``/auto-threshold gate; the stitched embeddings
-        are bit-identical either way, so the snapshot fingerprint does not
-        depend on the build topology.  The effective tile count is
-        recorded under ``meta["shard_tiles"]``.
+        ``shard_tiles`` pins the row-band count of the embedding export's
+        propagation (:mod:`repro.core.shard`): the batched pass sweeps its
+        layers band by band instead of over the whole graph at once, which
+        is how metropolis-scale snapshots stay inside the build host's
+        cache/memory budget.  ``None`` defers to the usual
+        ``O2_SHARD_TILES``/auto-threshold gate and ``0`` pins the dense
+        layer loop; the stitched embeddings are bit-identical either way,
+        so the snapshot fingerprint does not depend on the band count.
+        The export runs with no autograd tape
+        (:meth:`~repro.core.O2SiteRec.export_embeddings`).  The effective
+        tile count is recorded under ``meta["shard_tiles"]``.
         """
         from ..core.shard import (
             shard_gate_reason,

@@ -46,12 +46,14 @@ from .segment import (
     set_fast_kernels,
     use_fast_kernels,
 )
-from .tensor import Tensor, as_tensor, unbroadcast
+from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad, unbroadcast
 
 __all__ = [
     "Tensor",
     "as_tensor",
     "unbroadcast",
+    "no_grad",
+    "is_grad_enabled",
     "concat",
     "stack",
     "gather_rows",

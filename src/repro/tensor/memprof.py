@@ -150,9 +150,8 @@ def report() -> dict:
     }
     try:  # core is optional from the tensor plane's point of view
         from ..core import shard as _shard
-        from ..core import shard_train as _shard_train
 
-        snap["shard_train"] = _shard_train.shard_train_stats()
+        snap["shard_train"] = _shard.shard_train_stats()
         snap["shard_gate_reason"] = _shard.shard_gate_reason()
         snap["shard_train_gate_reason"] = _shard.shard_train_gate_reason()
     except ImportError:  # pragma: no cover - trimmed installs
@@ -189,9 +188,10 @@ def format_report(snapshot: Optional[dict] = None) -> str:
             f"pinned={plan['pinned_bytes'] / 1e6:.1f} MB",
         )
     st = snap.get("shard_train")
-    if st is not None and st.get("steps"):
+    if st is not None and (st.get("steps") or st.get("evals")):
         lines.append(
-            f"  shard_train: steps={st['steps']} bands={st['bands']} "
+            f"  shard_train: steps={st['steps']} evals={st['evals']} "
+            f"bands={st['bands']} "
             f"nodes={st['nodes']} halo={st['halo_bytes'] / 1e6:.1f} MB "
             f"({st['halo_rows']} rows) "
             f"exchange={st['exchange_bytes'] / 1e6:.1f} MB "

@@ -87,7 +87,7 @@ _guard_evictions = 0
 _live_plans = 0
 _pinned_bytes = 0
 # Captures poisoned because the step routed through the banded sharded
-# backward (repro.core.shard_train), which builds data-dependent band
+# backward (repro.core.shard), which builds data-dependent band
 # closures a replay plan cannot pin.  Deliberate and fail-soft: the step
 # runs eager, and this counter is the "never a silent double-path" receipt
 # surfaced on the memprof ``plan:`` line.

@@ -22,7 +22,17 @@ reduced back to the operand's shape (see :func:`unbroadcast`).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -87,6 +97,33 @@ def _accumulate_leaf(node: "Tensor", node_grad: np.ndarray, pooled: bool) -> Non
         node.grad = node.grad + node_grad
 
 
+# Tape recording switch (process-wide, like the buffer-pool switch).
+_grad_enabled = True
+
+
+def is_grad_enabled() -> bool:
+    """Whether new tensors record their parents and backward closure."""
+    return _grad_enabled
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no tape: tensors created inside keep no parents and no backward.
+
+    Values are unchanged -- every op runs the same kernels -- but nothing
+    pins the intermediates, so each one is reclaimed as soon as its last
+    consumer has read it.  Inference entry points (``O2SiteRec.predict``,
+    ``O2SiteRec.export_embeddings``) run under it.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _emit_ufunc2(ufunc, x: np.ndarray, y: np.ndarray, dst: np.ndarray) -> None:
     """Step-capture thunk for a binary ufunc: same kernel, out= in place."""
     _plan.emit(lambda: ufunc(x, y, out=dst))
@@ -121,6 +158,8 @@ class Tensor:
         self.data: np.ndarray = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self._grad_buf: Optional[np.ndarray] = None
+        if not _grad_enabled:
+            parents, backward = (), None
         self.requires_grad: bool = requires_grad or any(
             p.requires_grad for p in parents
         )

@@ -95,13 +95,13 @@ def rng():
 
 @pytest.fixture()
 def per_period_reference(monkeypatch):
-    """``route(model)`` runs the model's dense passes on the per-period oracle.
+    """``route(model)`` runs the model's fast passes on the per-period oracle.
 
-    ``HeteroRecommender._propagate_batched`` is the one dense entry point of
-    both ``forward`` and ``propagate_periods``; stacking the outputs of
-    ``propagate_per_period`` in its place makes every dense pass compute the
-    reference that the batched pass matches to ~1e-15 and that sharded eval
-    reproduces byte for byte.  Sharded passes are left untouched.
+    ``HeteroRecommender._propagate_batched`` is the one fast entry point of
+    both ``forward`` and ``propagate_periods``, and it hosts the banded
+    sweep too; stacking the outputs of ``propagate_per_period`` in its place
+    makes every fast pass, banded or not, compute the reference that the
+    batched pass matches to ~1e-15 in training.
     """
     from repro.data.periods import TimePeriod
     from repro.tensor import concat

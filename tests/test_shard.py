@@ -1,11 +1,11 @@
-"""Sharded propagation (``repro.core.shard``): bit-identity and gating.
+"""Banded eval (``repro.core.shard``): bit-identity and gating.
 
-The executor's contract is the strongest the repo makes: the stitched
-per-tile result must be **byte-for-byte** the unsharded per-period
-reference, across the ablation grid (capacity / preferences / C kernels),
-across serial in-process and forked-pool execution, and through a whole
-training ``fit`` (loss curves + final parameter fingerprint).  Anything
-weaker would let the metropolis path drift from the paper's model.
+The engine's contract is the strongest the repo makes: the stitched
+per-band result must be **byte-for-byte** the dense batched pass, across
+the ablation grid (capacity / preferences / C kernels), across serial
+in-process and forked-pool execution, and through a whole training ``fit``
+(loss curves + final parameter fingerprint).  Anything weaker would let the
+metropolis path drift from the paper's model.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ def _propagate_sha(model, tiles: int, procs: int) -> str:
 
 
 def _reference_sha(model) -> str:
-    """The per-period reference oracle every sharded run must reproduce."""
-    capacity_su, _ = model._capacity_pass()
-    return _sha_periods(model.recommender.propagate_per_period(capacity_su))
+    """The dense batched pass every banded run must reproduce."""
+    return _propagate_sha(model, tiles=0, procs=0)
 
 
 @pytest.mark.parametrize("variant", ["full", "wo_co", "wo_cocu"])
@@ -87,8 +86,8 @@ def test_sharded_bitwise_without_c_kernels(dataset):
     assert _propagate_sha(model, tiles=3, procs=2) == reference
 
 
-def test_fit_identical_with_sharded_eval(dataset, split, per_period_reference):
-    """Loss curves and final parameters survive sharded eval untouched."""
+def test_fit_identical_with_sharded_eval(dataset, split):
+    """Loss curves and final parameters survive banding untouched."""
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
 
@@ -96,9 +95,7 @@ def test_fit_identical_with_sharded_eval(dataset, split, per_period_reference):
         from repro.nn import init
 
         init.seed(0)
-        # Unsharded evals run the per-period reference, which sharded
-        # evals reproduce byte for byte.
-        model = per_period_reference(O2SiteRec(dataset, split=split))
+        model = O2SiteRec(dataset, split=split)
         trainer = Trainer(
             model,
             TrainConfig(epochs=2, min_epochs=1, seed=0,
@@ -120,15 +117,17 @@ def test_fit_identical_with_sharded_eval(dataset, split, per_period_reference):
 def test_gate_off_below_threshold_and_in_training(dataset):
     model = O2SiteRec(dataset)
     rec = model.recommender
+    # Auto gate: the tiny grid sits far below O2_SHARD_MIN_REGIONS, in
+    # training as in eval.
     model.eval()
-    # Auto gate: the tiny grid sits far below O2_SHARD_MIN_REGIONS.
     assert shard.shard_tiles_for(rec) == 0
-    # Forced on -- then training mode must still win.
-    shard.set_shard_tiles(3)
-    assert shard.shard_tiles_for(rec) == 3
     model.train()
     assert shard.shard_tiles_for(rec) == 0
+    # Forced on: one gate, the same band count in both modes.
+    shard.set_shard_tiles(3)
+    assert shard.shard_tiles_for(rec) == 3
     model.eval()
+    assert shard.shard_tiles_for(rec) == 3
     # tiles <= 1 disables; tile counts are clamped to the grid rows.
     shard.set_shard_tiles(1)
     assert shard.shard_tiles_for(rec) == 0
@@ -164,13 +163,13 @@ def test_no_shard_inside_pool_worker(dataset, monkeypatch):
     assert shard.shard_tiles_for(model.recommender) == 0
 
 
-def test_snapshot_from_sharded_build_matches(dataset, split, per_period_reference):
+def test_snapshot_from_sharded_build_matches(dataset, split):
     """Per-tile snapshot build: same fingerprint, tiles recorded in meta."""
     from repro.nn import init
     from repro.serve.snapshot import ModelSnapshot
 
     init.seed(0)
-    model = per_period_reference(O2SiteRec(dataset, split=split))
+    model = O2SiteRec(dataset, split=split)
     model.eval()
     plain = ModelSnapshot.from_model(model, shard_tiles=0)
     tiled = ModelSnapshot.from_model(model, shard_tiles=3)
@@ -179,3 +178,33 @@ def test_snapshot_from_sharded_build_matches(dataset, split, per_period_referenc
     assert plain.meta["shard_tiles"] == 0
     test_pairs = split.test_pairs[:16]
     assert np.array_equal(tiled.predict(test_pairs), plain.predict(test_pairs))
+
+
+def test_export_embeddings_builds_no_tape(dataset, split, monkeypatch):
+    """A banded export records no autograd node and keeps the fingerprint."""
+    from repro.nn import init
+    from repro.serve.snapshot import ModelSnapshot
+    from repro.tensor import Tensor
+
+    init.seed(0)
+    model = O2SiteRec(dataset, split=split)
+    shard.set_shard_tiles(3)
+    counts = {"tensors": 0, "taped": 0}
+    original_init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        counts["tensors"] += 1
+        if self._parents or self._backward is not None:
+            counts["taped"] += 1
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    model.export_embeddings()
+    monkeypatch.undo()
+    assert shard.shard_gate_reason().startswith("engaged: 3 row bands")
+    assert counts["tensors"] > 0
+    assert counts["taped"] == 0
+    assert model.training  # the export restores the caller's mode
+    plain = ModelSnapshot.from_model(model, shard_tiles=0)
+    tiled = ModelSnapshot.from_model(model, shard_tiles=3)
+    assert tiled.snapshot_id == plain.snapshot_id

@@ -1,11 +1,11 @@
-"""Banded sharded training (``repro.core.shard_train``): bit-identity.
+"""Banded training (``repro.core.shard``): bit-identity.
 
-The training extension inherits the eval executor's contract and raises it:
-not just forward values but **loss curves and every parameter byte** must
-match the dense reference step -- across band counts, serial and forked
-execution, kernel backends and the buffer-pool ablation -- because the
-banded backward re-derives the reference gradients from per-band
-recomputation plus block-deterministic master-side reductions.
+Training raises the banded engine's eval contract: not just forward values
+but **loss curves and every parameter byte** must match the dense step
+(``shard_tiles=0``) -- across band counts, serial and forked execution,
+kernel backends and the buffer-pool ablation -- because the banded backward
+re-derives the dense gradients from per-band recomputation plus
+block-deterministic master-side reductions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import parallel
-from repro.core import shard, shard_train
+from repro.core import shard
 from repro.core.model import O2SiteRec
 from repro.core.trainer import TrainConfig, Trainer
 from repro.nn import init
@@ -33,8 +33,6 @@ def _restore_toggles():
     """Every test leaves the global shard/pool/kernel state untouched."""
     prev_tiles = shard.set_shard_tiles(None)
     shard.set_shard_tiles(prev_tiles)
-    prev_train = shard.set_shard_train(None)
-    shard.set_shard_train(prev_train)
     prev_procs = parallel.set_num_procs(None)
     parallel.set_num_procs(prev_procs)
     prev_c = cnative.set_c_kernels(True)
@@ -43,7 +41,6 @@ def _restore_toggles():
     pool.set_buffer_pool(prev_pool)
     yield
     shard.set_shard_tiles(prev_tiles)
-    shard.set_shard_train(prev_train)
     parallel.set_num_procs(prev_procs)
     cnative.set_c_kernels(prev_c)
     pool.set_buffer_pool(prev_pool)
@@ -56,8 +53,8 @@ def _params_sha(model) -> str:
     return digest.hexdigest()
 
 
-def _fit_fingerprint(dataset, split, pairs, targets, *, shard_train_on,
-                     tiles=3, procs=0, compile_step=False):
+def _fit_fingerprint(dataset, split, pairs, targets, *, tiles=3, procs=0,
+                     compile_step=False):
     init.seed(0)
     prev = parallel.set_num_procs(procs)
     try:
@@ -65,7 +62,7 @@ def _fit_fingerprint(dataset, split, pairs, targets, *, shard_train_on,
         trainer = Trainer(
             model,
             TrainConfig(epochs=2, min_epochs=1, seed=0, shard_tiles=tiles,
-                        shard_train=shard_train_on, compile_step=compile_step),
+                        compile_step=compile_step),
         )
         result = trainer.fit(pairs, targets)
     finally:
@@ -81,31 +78,29 @@ def _fit_fingerprint(dataset, split, pairs, targets, *, shard_train_on,
 def test_banded_training_fit_bitwise(dataset, split):
     """Dense vs banded fits: loss curves and parameter bytes, float-exact.
 
-    Eval sharding is pinned identically in both legs so the only moving
-    part is the training step; the banded leg is checked serial at two
-    band counts and through the forked worker pool.
+    The dense leg runs every step and eval pass with ``shard_tiles=0``; the
+    banded leg is checked serial at two band counts and through the forked
+    worker pool.
     """
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
-    reference = _fit_fingerprint(dataset, split, pairs, targets,
-                                 shard_train_on=False)
+    reference = _fit_fingerprint(dataset, split, pairs, targets, tiles=0)
 
-    shard_train.reset_shard_train_stats()
-    banded = _fit_fingerprint(dataset, split, pairs, targets,
-                              shard_train_on=True)
-    stats = shard_train.shard_train_stats()
+    shard.reset_shard_train_stats()
+    banded = _fit_fingerprint(dataset, split, pairs, targets)
+    stats = shard.shard_train_stats()
     assert stats["steps"] > 0, "training gate did not engage"
+    assert stats["evals"] > 0, "eval gate did not engage"
     assert stats["nodes"] > 0 and stats["bands"] > 0
     assert banded == reference
 
     # Non-divisible band count and the forked persistent pool.
     assert _fit_fingerprint(dataset, split, pairs, targets,
-                            shard_train_on=True, tiles=5) == reference
-    shard_train.reset_shard_train_stats()
-    forked = _fit_fingerprint(dataset, split, pairs, targets,
-                              shard_train_on=True, procs=2)
+                            tiles=5) == reference
+    shard.reset_shard_train_stats()
+    forked = _fit_fingerprint(dataset, split, pairs, targets, procs=2)
     assert forked == reference
-    stats = shard_train.shard_train_stats()
+    stats = shard.shard_train_stats()
     assert stats["fanout_tasks"] > 0, "forked leg did not fan out"
     assert stats["exchange_bytes"] > 0
     assert stats["worker_peak_rss_mb"] > 0.0
@@ -117,21 +112,17 @@ def test_banded_training_fit_bitwise_reference_kernels(dataset, split):
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
     cnative.set_c_kernels(False)
-    reference = _fit_fingerprint(dataset, split, pairs, targets,
-                                 shard_train_on=False)
-    assert _fit_fingerprint(dataset, split, pairs, targets,
-                            shard_train_on=True) == reference
+    reference = _fit_fingerprint(dataset, split, pairs, targets, tiles=0)
+    assert _fit_fingerprint(dataset, split, pairs, targets) == reference
 
 
 def test_banded_training_fit_bitwise_pool_off(dataset, split):
     """The buffer pool is value-transparent under banded training too."""
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
-    reference = _fit_fingerprint(dataset, split, pairs, targets,
-                                 shard_train_on=False)
+    reference = _fit_fingerprint(dataset, split, pairs, targets, tiles=0)
     pool.set_buffer_pool(False)
-    assert _fit_fingerprint(dataset, split, pairs, targets,
-                            shard_train_on=True) == reference
+    assert _fit_fingerprint(dataset, split, pairs, targets) == reference
 
 
 def test_single_step_all_param_grads_bitwise(dataset, split):
@@ -143,8 +134,7 @@ def test_single_step_all_param_grads_bitwise(dataset, split):
         init.seed(0)
         model = O2SiteRec(dataset, split=split)
         model.train()
-        prev_tiles = shard.set_shard_tiles(3)
-        prev_train = shard.set_shard_train(banded)
+        prev_tiles = shard.set_shard_tiles(3 if banded else 0)
         opt = Adam(model.parameters(), lr=3e-3, weight_decay=1e-5)
         try:
             opt.zero_grad()
@@ -152,7 +142,6 @@ def test_single_step_all_param_grads_bitwise(dataset, split):
             loss.backward(free_graph=True)
         finally:
             shard.set_shard_tiles(prev_tiles)
-            shard.set_shard_train(prev_train)
         grads = [
             None if p.grad is None else p.grad.copy()
             for p in model.parameters()
@@ -216,11 +205,11 @@ def _run_banded(agg, target, source, attr, dst, src, cuts):
     for p in agg.parameters():
         p.grad = None
     target.grad = source.grad = None
-    bands = shard_train._band_table(dst, np.asarray(cuts, dtype=np.int64))
-    prelude = shard_train._build_prelude(agg, target, source, attr)
+    bands = shard._band_table(dst, np.asarray(cuts, dtype=np.int64))
+    prelude = shard._build_prelude(agg, target, source, attr)
     spec = {"dst": dst, "src": src, "prelude": prelude}
-    value = shard_train._serial_values(spec, bands, agg)
-    out = shard_train._banded_attention(
+    value = shard._serial_values(spec, bands, agg)
+    out = shard._banded_attention(
         agg, target, source, attr, dst, src, bands, None, "syn", prelude, value
     )
     out.sum().backward(free_graph=True)
@@ -286,33 +275,28 @@ def test_synthetic_multiblock_reference_kernels():
 def test_train_gate_declines_without_recommender():
     # Baseline models carry no recommender attribute; the Trainer guard
     # passes None and the gate must decline instead of raising.
-    assert shard.shard_train_tiles_for(None) == 0
+    assert shard.shard_tiles_for(None) == 0
     assert "no recommender" in shard.shard_train_gate_reason()
 
 
 def test_train_gate_reasons(dataset):
     model = O2SiteRec(dataset)
     rec = model.recommender
-    shard.set_shard_tiles(3)
-
-    model.eval()
-    assert shard.shard_train_tiles_for(rec) == 0
-    assert "evaluation mode" in shard.shard_train_gate_reason()
-
     model.train()
-    shard.set_shard_train(False)
-    assert shard.shard_train_tiles_for(rec) == 0
+
+    shard.set_shard_tiles(0)
+    assert shard.shard_tiles_for(rec) == 0
     assert "disabled" in shard.shard_train_gate_reason()
 
-    shard.set_shard_train(None)
-    tiles = shard.shard_train_tiles_for(rec)
+    shard.set_shard_tiles(3)
+    tiles = shard.shard_tiles_for(rec)
     rows = rec.grid_shape[0]
     assert tiles == min(3, rows) and tiles > 1
     assert "engaged" in shard.shard_train_gate_reason()
 
     # Auto threshold: the tiny grid sits far below O2_SHARD_MIN_REGIONS.
     shard.set_shard_tiles(None)
-    assert shard.shard_train_tiles_for(rec) == 0
+    assert shard.shard_tiles_for(rec) == 0
     assert "O2_SHARD_MIN_REGIONS" in shard.shard_train_gate_reason()
 
     # Eval-side reason is recorded independently.
@@ -320,17 +304,7 @@ def test_train_gate_reasons(dataset):
     shard.set_shard_tiles(3)
     assert shard.shard_tiles_for(rec) > 1
     assert "engaged" in shard.shard_gate_reason()
-
-
-def test_use_shard_train_context(dataset):
-    model = O2SiteRec(dataset)
-    model.train()
-    shard.set_shard_tiles(3)
-    with shard.use_shard_train(False):
-        assert shard.shard_train_tiles_for(model.recommender) == 0
-    assert shard.shard_train_tiles_for(model.recommender) > 1
-    with shard.use_shard_train(None):  # None = no-op passthrough
-        assert shard.shard_train_tiles_for(model.recommender) > 1
+    assert "O2_SHARD_MIN_REGIONS" in shard.shard_train_gate_reason()
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +356,21 @@ def test_compiled_step_guard_flip_recaptures(dataset, split):
     init.seed(0)
     model = O2SiteRec(dataset, split=split)
     model.train()
-    shard.set_shard_tiles(3)
-    shard.set_shard_train(False)
+    shard.set_shard_tiles(0)
     opt = Adam(model.parameters(), lr=3e-3, weight_decay=1e-5)
     cs = _compiled_step(
         model,
         opt,
         guard_fn=lambda: (
             model.training,
-            bool(shard.shard_train_tiles_for(model.recommender)),
+            bool(shard.shard_tiles_for(model.recommender)),
         ),
     )
     _plan.reset_stats()
     try:
         assert cs.step(pairs, targets) is not None  # dense: captures a plan
         assert cs.stats()["plans"] == 1
-        shard.set_shard_train(True)  # gate flips on under the same plan
+        shard.set_shard_tiles(3)  # gate flips on under the same plan
         assert cs.step(pairs, targets) is not None  # evict + poisoned eager
         stats = cs.stats()
         assert stats["plans"] == 0
@@ -415,7 +388,7 @@ def test_compiled_step_guard_flip_recaptures(dataset, split):
 def test_memprof_reports_shard_train_counters(dataset, split):
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
-    shard_train.reset_shard_train_stats()
+    shard.reset_shard_train_stats()
     init.seed(0)
     model = O2SiteRec(dataset, split=split)
     model.train()
@@ -474,14 +447,14 @@ def test_band_table_caches_ids_identity():
         np.int64
     )
     cuts = np.array([0, 10, 25, 40], dtype=np.int64)
-    t1 = shard_train._band_table(dst, cuts)
-    t2 = shard_train._band_table(dst, cuts)
+    t1 = shard._band_table(dst, cuts)
+    t2 = shard._band_table(dst, cuts)
     assert all(a[4] is b[4] for a, b in zip(t1, t2))  # stable ids arrays
     # Stable ids arrays keep the SegmentPlan identity cache hot.
     lo, hi, e0, e1, ids = t1[1]
     assert get_plan(ids, hi - lo) is get_plan(ids, hi - lo)
     # Different cuts over the same dst rebuild rather than alias.
-    t3 = shard_train._band_table(dst, np.array([0, 20, 40], dtype=np.int64))
+    t3 = shard._band_table(dst, np.array([0, 20, 40], dtype=np.int64))
     assert len(t3) == 2
 
 

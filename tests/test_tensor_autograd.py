@@ -206,6 +206,22 @@ class TestBackwardSemantics:
         (a * c).backward()
         assert c.grad is None
 
+    def test_no_grad_records_no_tape(self):
+        from repro.tensor import is_grad_enabled, no_grad
+
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with no_grad():
+            assert not is_grad_enabled()
+            out = (w @ w).relu() * 2.0
+        assert is_grad_enabled()
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        assert np.array_equal(out.data, np.full((2, 2), 4.0))
+        # Leaves keep their flag, and outside the block the tape records.
+        assert w.requires_grad
+        again = w @ w
+        assert again.requires_grad and again._parents == (w, w)
+
     def test_backward_does_not_leak_reference_cycles(self):
         # Closures must not capture their output tensor: a dropped graph is
         # reclaimed by refcounting (the training-loop performance fix).
