@@ -171,7 +171,7 @@ def run_graph_leg(scale: float) -> dict:
     dataset_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    graph = build_hetero_multigraph(dataset, streaming=True)
+    graph = build_hetero_multigraph(dataset)
     graph_s = time.perf_counter() - started
 
     su_edges = sum(len(sub.su_dst_s) for sub in graph.subgraphs.values())

@@ -9,12 +9,10 @@ at import time and the propagation entry point they time:
 * ``perperiod`` -- ``O2_SHARD_TILES=0``, timing
   ``HeteroRecommender.propagate_per_period``: the per-period test oracle;
 * ``sharded``   -- ``O2_SHARD_TILES=8``: the same batched pass with its
-  layers swept over grid-tile row bands.  On a single core this runs as
-  the in-process band sweep (no forks); the win is cache tiling --
-  band-local edge intermediates stay resident instead of streaming
-  ~85 MB of full-graph temporaries through DRAM per kernel.  With
-  ``O2_NUM_PROCS`` set on a multi-core host the same bands fan out over a
-  process pool and shared read-only arenas.
+  layers swept over grid-tile row bands, in-process (no forks, whatever
+  ``O2_NUM_PROCS`` says); the win is cache tiling -- band-local edge
+  intermediates stay resident instead of streaming ~85 MB of full-graph
+  temporaries through DRAM per kernel.
 
 Every leg propagates under :func:`repro.tensor.no_grad`, as the product's
 eval entry points (``predict``, ``export_embeddings``) do, and records a

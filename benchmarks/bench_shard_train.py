@@ -1,6 +1,6 @@
 """Banded training step: halo-synchronised tile-parallel fwd+bwd vs dense.
 
-Three fresh-subprocess legs run the same eager batch-128 Adam steps on the
+Two fresh-subprocess legs run the same eager batch-128 Adam steps on the
 metropolis preset (10k+ regions), identical except for the ``O2_*``
 switches read at import time:
 
@@ -11,20 +11,14 @@ switches read at import time:
   locality: band-sized edge intermediates stay cache-resident through the
   block-sweep backward instead of streaming full-graph temporaries
   through DRAM, and the forward stashes each band's attention softmax so
-  the backward skips the recompute;
-* ``forked``    -- adds ``O2_NUM_PROCS=2``: the same bands fanned over a
-  :func:`repro.parallel.process_map` pool with shared mmap arenas and the
-  boundary-gradient exchange.  On this 1-core host the leg is exercised
-  for *correctness* (bit-identity plus exchange accounting), not speed --
-  the pickle channel ships gigabytes per step that a multi-core host
-  overlaps with compute; its time is recorded but excluded from floors.
+  the backward skips the recompute.
 
-All legs pin ``O2_COMPILE_STEP=0``: a banded step poisons an active
+Both legs pin ``O2_COMPILE_STEP=0``: a banded step poisons an active
 capture by design (see DESIGN.md section 12), so eager-vs-eager isolates
-the executor.  Every leg records its per-step losses and a SHA-256 over
-the final parameters; the driver asserts both banded legs are *bitwise
+the band sweep.  Every leg records its per-step losses and a SHA-256 over
+the final parameters; the bench asserts the banded leg is *bitwise
 identical* to the reference, and that the gate actually engaged, so the
-speedup measures the executor and not a silent fallback.
+speedup measures the band sweep and not a silent fallback.
 
 Usage::
 
@@ -141,11 +135,6 @@ LEG_ENV = {
         "O2_SHARD_TILES": str(SHARD_TILES),
         "O2_NUM_PROCS": "0",
     },
-    "forked": {
-        "O2_COMPILE_STEP": "0",
-        "O2_SHARD_TILES": str(SHARD_TILES),
-        "O2_NUM_PROCS": "2",
-    },
 }
 
 
@@ -162,30 +151,25 @@ def check_legs(legs: dict) -> None:
     """Engagement + bit-identity invariants shared by quick and full."""
     if legs["reference"]["gate"].startswith("engaged"):
         raise SystemExit("reference leg unexpectedly ran banded")
-    for name in ("serial", "forked"):
-        leg = legs[name]
-        if not leg["gate"].startswith("engaged"):
-            raise SystemExit(
-                f"{name} leg did not engage the banded-training gate: "
-                f"{leg['gate']!r}"
-            )
-        if leg["stats"]["steps"] == 0 or leg["stats"]["bands"] == 0:
-            raise SystemExit(f"{name} leg recorded no banded work")
-        if leg["losses"] != legs["reference"]["losses"]:
-            raise SystemExit(
-                f"{name} losses are NOT bitwise identical to the reference: "
-                f"{leg['losses']} != {legs['reference']['losses']}"
-            )
-        if leg["param_sha"] != legs["reference"]["param_sha"]:
-            raise SystemExit(
-                f"{name} final parameters are NOT bitwise identical to the "
-                f"reference: {leg['param_sha'][:16]} != "
-                f"{legs['reference']['param_sha'][:16]}"
-            )
-    if legs["forked"]["stats"]["exchange_bytes"] == 0:
-        raise SystemExit("forked leg shipped no boundary gradients")
-    if legs["serial"]["stats"]["exchange_bytes"] != 0:
-        raise SystemExit("serial leg unexpectedly used the exchange channel")
+    leg = legs["serial"]
+    if not leg["gate"].startswith("engaged"):
+        raise SystemExit(
+            f"serial leg did not engage the banded-training gate: "
+            f"{leg['gate']!r}"
+        )
+    if leg["stats"]["steps"] == 0 or leg["stats"]["bands"] == 0:
+        raise SystemExit("serial leg recorded no banded work")
+    if leg["losses"] != legs["reference"]["losses"]:
+        raise SystemExit(
+            f"serial losses are NOT bitwise identical to the reference: "
+            f"{leg['losses']} != {legs['reference']['losses']}"
+        )
+    if leg["param_sha"] != legs["reference"]["param_sha"]:
+        raise SystemExit(
+            f"serial final parameters are NOT bitwise identical to the "
+            f"reference: {leg['param_sha'][:16]} != "
+            f"{legs['reference']['param_sha'][:16]}"
+        )
 
 
 def format_report(legs: dict, scale: float, mode: str, floor: float) -> str:
@@ -204,7 +188,7 @@ def format_report(legs: dict, scale: float, mode: str, floor: float) -> str:
         f"{'leg':<10} {'cold':>9} {'best':>9} {'median':>9} "
         f"{'peak rss':>10} {'param sha':>18}",
     ]
-    for name in ("reference", "serial", "forked"):
+    for name in LEG_ENV:
         leg = legs[name]
         lines.append(
             f"{name:<10} {leg['cold_s']:>7.2f} s {leg['best_s']:>7.2f} s "
@@ -224,10 +208,6 @@ def format_report(legs: dict, scale: float, mode: str, floor: float) -> str:
         f"{epoch_steps - 1} warm steps, so epoch time tracks this)",
         f"peak training RSS: {reference['peak_rss_mb']:.0f} MB dense vs "
         f"{serial['peak_rss_mb']:.0f} MB banded ({rss_drop:.0%} lower)",
-        f"forked leg (2 workers, 1-core host): correctness only -- "
-        f"bitwise identical, "
-        f"{legs['forked']['stats']['exchange_bytes'] / 1e9:.2f} GB "
-        f"boundary-gradient exchange over {legs['forked']['steps']} steps",
         "losses + final params bitwise identical across all legs: True",
     ]
     return "\n".join(lines)
@@ -298,10 +278,9 @@ def main() -> None:
             "batch": BATCH,
             "floors": {"speedup_cold": SPEEDUP_FLOOR},
             "leg_env": LEG_ENV,
-            "identical": all(
-                legs[name]["param_sha"] == legs["reference"]["param_sha"]
-                and legs[name]["losses"] == legs["reference"]["losses"]
-                for name in ("serial", "forked")
+            "identical": (
+                legs["serial"]["param_sha"] == legs["reference"]["param_sha"]
+                and legs["serial"]["losses"] == legs["reference"]["losses"]
             ),
             "speedup": {
                 "vs_reference_cold": speedup,

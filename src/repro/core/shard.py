@@ -65,17 +65,13 @@ engages automatically.  The eval entry points run under
 :func:`repro.tensor.no_grad`, so an eval sweep records no backward and
 skips the per-band attention stash only the backward reads.
 
-Execution modes
----------------
-Serial (default): the band sweep runs in-process, cache-tiled -- band
-intermediates stay resident instead of streaming full ``(E, F)`` blocks
-through DRAM per kernel.  With ``O2_NUM_PROCS`` set, forward values and
-backward band gradients fan out over the persistent
-:func:`repro.parallel.process_map` pool: workers read everything from two
-read-only mmap arenas (a per-fit static arena of edge arrays, a per-layer
-round arena of projections and weights), recompute their covers locally,
-and ship only band-sized values and gradients back -- the exchange
-accounted by :func:`shard_train_stats`.
+Execution
+---------
+The band sweep runs in-process and cache-tiled -- band intermediates stay
+resident instead of streaming full ``(E, F)`` blocks through DRAM per
+kernel -- and forks nothing, whatever ``O2_NUM_PROCS`` says: fanning the
+bands over a process pool lost to it in training and in eval on every
+host measured (DESIGN.md section 12).
 
 Compiled-step interplay: a banded step builds data-dependent band closures
 a replay plan cannot pin, so an active capture is *poisoned* on entry
@@ -85,11 +81,6 @@ counted on the memprof ``plan:`` line as ``shard_fallbacks``.
 
 from __future__ import annotations
 
-import atexit
-import os
-import resource
-import shutil
-import tempfile
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -101,9 +92,7 @@ from ..graphs.partition import (
     band_node_splits,
     stacked_band_cuts,
 )
-from ..parallel import in_process_worker, num_procs, process_map
 from ..runtime import env_int, env_str
-from ..serve.arena import open_raw_arena, save_raw_arena
 from ..tensor import Tensor, fast_kernels_enabled, is_grad_enabled
 from ..tensor import cnative as _cnative
 from ..tensor import plan as _plan
@@ -183,10 +172,9 @@ def resolve_shard_tiles(num_regions: int) -> int:
     Priority: :func:`set_shard_tiles` override, then ``O2_SHARD_TILES``
     (an explicit ``0``/``off`` disables, unset defers), then the automatic
     threshold -- :data:`DEFAULT_SHARD_TILES` tiles once the grid reaches
-    ``O2_SHARD_MIN_REGIONS`` regions.  The automatic path engages even
-    without a worker pool: band-local evaluation keeps every intermediate
-    cache-resident, which already beats the monolithic sweep on one core
-    (see ``BENCH_shard.json``); a pool adds process parallelism on top.
+    ``O2_SHARD_MIN_REGIONS`` regions: band-local evaluation keeps every
+    intermediate cache-resident, which beats the monolithic sweep on one
+    core (see ``BENCH_shard.json``).
     """
     if _tile_override is not None:
         tiles = _tile_override
@@ -230,8 +218,6 @@ def _gate(recommender, capacity_su) -> Tuple[int, str]:
         return 0, "no grid shape attached to the recommender"
     if not fast_kernels_enabled():
         return 0, "reference kernels (fast attention path off)"
-    if in_process_worker():
-        return 0, "inside a process_map worker (no nested fan-out)"
     reason = _aggregator_gate_reason(recommender, capacity_su)
     if reason is not None:
         return 0, reason
@@ -252,11 +238,12 @@ def shard_tiles_for(recommender, capacity_su=None) -> int:
 
     Banding needs a grid shape (attached by
     :class:`repro.core.model.O2SiteRec`), the fast-kernel attention path,
-    attention aggregators on every relation, factored (or absent) capacity
-    edge attributes, and a process that is not itself a fan-out worker.
-    The tile count is clamped to the grid's row count so every band owns
-    at least one region row.  The reason is recorded under the model's
-    mode: :func:`shard_train_gate_reason` in training,
+    attention aggregators on every relation, and factored (or absent)
+    capacity edge attributes.  The sweep forks nothing, so a harness cell
+    running inside a :func:`repro.parallel.process_map` worker bands like
+    any other process.  The tile count is clamped to the grid's row count
+    so every band owns at least one region row.  The reason is recorded
+    under the model's mode: :func:`shard_train_gate_reason` in training,
     :func:`shard_gate_reason` in eval.  Baseline models (no recommender)
     reach the gate only through the Trainer's step guard, so theirs counts
     as training.
@@ -364,7 +351,6 @@ def _band_keys(
 
 
 def _band_aggregate(
-    dst: np.ndarray,
     src: np.ndarray,
     attr: np.ndarray,
     w_edge: np.ndarray,
@@ -375,40 +361,28 @@ def _band_aggregate(
     extras,
     lo: int,
     n_band: int,
+    e0: int,
+    e1: int,
+    ids: np.ndarray,
     num_heads: int,
     head_dim: int,
     scale: float,
-    edge_range: Optional[Tuple[int, int]] = None,
-    ids: Optional[np.ndarray] = None,
     att_state: Optional[dict] = None,
 ) -> np.ndarray:
     """One relation's attention rows for targets ``[lo, lo + n_band)``.
 
-    ``dst`` must be sorted ascending unless ``edge_range`` pins the edge
-    window explicitly; the keys come from :func:`_band_keys`.
-    ``ids`` may pass the band-local segment ids (``dst[e0:e1] - lo``)
-    precomputed -- the band tables cache them per fit so the
-    ``SegmentPlan`` identity cache hits on every pass.
+    ``[e0, e1)`` is the band's window of the destination-sorted edge
+    arrays and ``ids`` its band-local segment ids (``dst[e0:e1] - lo``),
+    both from the band table, which caches them per fit so the
+    ``SegmentPlan`` identity cache hits on every pass.  The keys come from
+    :func:`_band_keys`.
     """
-    out_dim = num_heads * head_dim
-    if n_band <= 0:
-        return np.zeros((0, out_dim))
-    num_edges = dst.shape[0]
-    if num_edges == 0:
-        return np.zeros((n_band, out_dim))
-    if edge_range is None:
-        e0, e1 = np.searchsorted(dst, (lo, lo + n_band))
-        e0, e1 = int(e0), int(e1)
-    else:
-        e0, e1 = edge_range
     if e1 <= e0:
-        return np.zeros((n_band, out_dim))
+        return np.zeros((n_band, num_heads * head_dim))
     keys = _band_keys(
         src, attr, w_edge, pre, bias, key_w, extras, e0, e1, num_heads,
         head_dim,
     )
-    if ids is None:
-        ids = np.asarray(dst[e0:e1], dtype=np.int64) - lo
     return _attention_value(
         keys, q_we[lo : lo + n_band], ids, n_band, scale, att_state=att_state
     )
@@ -425,9 +399,6 @@ _stats = {
     "bands": 0,
     "halo_rows": 0,
     "halo_bytes": 0,
-    "exchange_bytes": 0,
-    "fanout_tasks": 0,
-    "worker_peak_rss_mb": 0.0,
 }
 
 
@@ -438,17 +409,14 @@ def shard_train_stats() -> dict:
     passes, so a training gate that never engaged shows ``steps == 0``
     whatever the validation passes did.  ``halo_rows``/``halo_bytes``
     count block-cover rows recomputed beyond the owned edge windows (the
-    halo rings crossed by the banded backward); ``exchange_bytes`` the
-    boundary gradients and band values shipped through the fan-out pickle
-    channel (0 in serial mode); ``worker_peak_rss_mb`` the largest
-    per-worker peak RSS reported back.
+    halo rings crossed by the banded backward).
     """
     return dict(_stats)
 
 
 def reset_shard_train_stats() -> None:
     for key in _stats:
-        _stats[key] = 0.0 if key == "worker_peak_rss_mb" else 0
+        _stats[key] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -580,214 +548,15 @@ def _cover(e0: int, e1: int, num_edges: int) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Fan-out worker tasks.  Everything round-varying travels through the two
-# mmap arenas (static: per fit; round: per layer per step) plus the pickled
-# band gradient slices, so the persistent pool's forked snapshot never goes
-# stale.  Arena layout (per banded relation ``rel``):
-#   static:  dst_<rel>, src_<rel>, attr_<rel>, cuts_<rel>,
-#            x0ix/x1ix (factored capacity row maps)
-#   round:   pre_<rel>, qwe_<rel>, we_<rel>, bias_<rel>, keyw_<rel>,
-#            x0_<rel>/x1_<rel> (projected capacity tables)
-# ---------------------------------------------------------------------------
-
-# Opened arenas keyed by path: a worker reads the same static arena for a
-# whole fit and each round arena for every band task of its layer.
-_WORKER_ARENAS: Dict[str, Tuple[dict, Dict[str, np.ndarray]]] = {}
-
-
-def _worker_arena(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
-    entry = _WORKER_ARENAS.get(path)
-    if entry is None:
-        if len(_WORKER_ARENAS) >= 8:
-            _WORKER_ARENAS.clear()
-        entry = open_raw_arena(path)
-        _WORKER_ARENAS[path] = entry
-    return entry
-
-
-def _worker_rel(stat, rnd, meta, rel):
-    want_c = bool(meta["c_kernels"])
-    _cnative.set_c_kernels(want_c)
-    if want_c != _cnative.available():
-        raise RuntimeError(
-            "shard worker cannot match the master's kernel dispatch "
-            "(compiled kernels unavailable in the worker process)"
-        )
-    extras = []
-    for name in ("x0", "x1"):
-        if f"{name}_{rel}" in rnd:
-            extras.append((rnd[f"{name}_{rel}"], stat[f"{name}ix"]))
-    return {
-        "dst": stat[f"dst_{rel}"],
-        "src": stat[f"src_{rel}"],
-        "attr": stat[f"attr_{rel}"],
-        "cuts": stat[f"cuts_{rel}"],
-        "pre": rnd[f"pre_{rel}"],
-        "qwe": rnd[f"qwe_{rel}"],
-        "we": rnd[f"we_{rel}"],
-        "bias": rnd[f"bias_{rel}"],
-        "keyw": rnd[f"keyw_{rel}"],
-        "extras": extras,
-    }
-
-
-def _worker_rss() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _fwd_task(task):
-    """One band's forward values for one banded relation of one layer."""
-    static_path, round_path, rel, band = task
-    sheader, stat = _worker_arena(static_path)
-    _rheader, rnd = _worker_arena(round_path)
-    meta = sheader["meta"]
-    r = _worker_rel(stat, rnd, meta, rel)
-    lo = int(r["cuts"][band])
-    hi = int(r["cuts"][band + 1])
-    value = _band_aggregate(
-        dst=r["dst"],
-        src=r["src"],
-        attr=r["attr"],
-        w_edge=r["we"],
-        pre=r["pre"],
-        bias=r["bias"],
-        key_w=r["keyw"],
-        q_we=r["qwe"],
-        extras=r["extras"],
-        lo=lo,
-        n_band=hi - lo,
-        num_heads=int(meta["num_heads"]),
-        head_dim=int(meta["head_dim"]),
-        scale=float(meta["scale"]),
-    )
-    return rel, band, value, _worker_rss()
-
-
-def _bwd_task(task):
-    """One band's attention backward for one banded relation.
-
-    Recomputes the band's cover of the fused messages and keys from the
-    arenas (bit-identical to the master's full-range recompute: the cover
-    starts on a block boundary), then runs the segment-local attention
-    backward.  Returns the band's key-space and query-space gradients.
-    """
-    static_path, round_path, rel, band, gout_band = task
-    sheader, stat = _worker_arena(static_path)
-    _rheader, rnd = _worker_arena(round_path)
-    meta = sheader["meta"]
-    num_heads = int(meta["num_heads"])
-    head_dim = int(meta["head_dim"])
-    scale = float(meta["scale"])
-    r = _worker_rel(stat, rnd, meta, rel)
-    dst = r["dst"]
-    lo = int(r["cuts"][band])
-    hi = int(r["cuts"][band + 1])
-    e0, e1 = (int(x) for x in np.searchsorted(dst, (lo, hi)))
-    if e1 <= e0:
-        return rel, band, None, None, _worker_rss()
-    keys = _band_keys(
-        r["src"], r["attr"], r["we"], r["pre"], r["bias"], r["keyw"],
-        r["extras"], e0, e1, num_heads, head_dim,
-    )
-    ids = np.asarray(dst[e0:e1], dtype=np.int64) - lo
-    g_keys, g_q = _band_att_backward(
-        keys, r["qwe"][lo:hi], gout_band, ids, hi - lo, scale
-    )
-    return rel, band, g_keys.reshape(e1 - e0, num_heads * head_dim), g_q, (
-        _worker_rss()
-    )
-
-
-# ---------------------------------------------------------------------------
-# Arena lifecycle (fan-out mode only; the serial band sweep reads master
-# arrays in place and never touches the filesystem).
-# ---------------------------------------------------------------------------
-
-_STATIC_ARENAS: Dict[tuple, str] = {}
-_ROUND_DIRS: List[str] = []
-_round_serial = 0
-
-
-def _cleanup_arenas() -> None:
-    for tmpdir in _ROUND_DIRS:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    _ROUND_DIRS.clear()
-    for tmpdir in _STATIC_ARENAS.values():
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    _STATIC_ARENAS.clear()
-
-
-atexit.register(_cleanup_arenas)
-
-
-def _static_arena_path(rels: dict, cuts: dict, meta_extra: dict) -> str:
-    """The per-fit static arena, written once and cached by array identity.
-
-    The stacked edge arrays are built once per fit (``_build_batched``
-    caches them on the recommender), so their ids are a stable cache key;
-    the kernel backend and the per-relation band cuts join it because
-    workers read both from this arena's metadata.
-    """
-    key = tuple(
-        [id(r["dst"]) for r in rels.values()]
-        + [tuple(int(c) for c in cuts[rel]) for rel in sorted(cuts)]
-        + [tuple(sorted(meta_extra.items()))]
-    )
-    path = _STATIC_ARENAS.get(key)
-    if path is not None:
-        return os.path.join(path, "static.arena")
-    while len(_STATIC_ARENAS) >= 2:
-        _, old = _STATIC_ARENAS.popitem()
-        shutil.rmtree(old, ignore_errors=True)
-    tmpdir = tempfile.mkdtemp(prefix="o2shardtrain-")
-    arrays = {
-        f"cuts_{rel}": np.asarray(c) for rel, c in cuts.items()
-    }
-    for rel, r in rels.items():
-        arrays[f"dst_{rel}"] = r["dst"]
-        arrays[f"src_{rel}"] = r["src"]
-        arrays[f"attr_{rel}"] = r["attr"]
-        for name, (_values, index) in zip(("x0", "x1"), r["extras_raw"]):
-            arrays[f"{name}ix"] = np.asarray(index, dtype=np.int64)
-    meta = {"relations": list(rels), **meta_extra}
-    arena_path = os.path.join(tmpdir, "static.arena")
-    save_raw_arena(arrays, meta, arena_path, durable=False)
-    _STATIC_ARENAS[key] = tmpdir
-    return arena_path
-
-
-def _publish_round(arrays: Dict[str, np.ndarray]) -> str:
-    global _round_serial
-    _round_serial += 1
-    tmpdir = tempfile.mkdtemp(prefix=f"o2shardtrain-r{_round_serial}-")
-    path = os.path.join(tmpdir, "round.arena")
-    save_raw_arena(arrays, {"round": _round_serial}, path, durable=False)
-    _ROUND_DIRS.append(tmpdir)
-    return path
-
-
-def _drop_round_dirs() -> None:
-    """Free the previous pass's round arenas (its backward has run)."""
-    for tmpdir in _ROUND_DIRS:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    _ROUND_DIRS.clear()
-
-
-# ---------------------------------------------------------------------------
 # The banded autograd node.
 # ---------------------------------------------------------------------------
 
 
 def _banded_attention(
     agg,
-    target: Tensor,
-    source: Tensor,
-    edge_attr,
     dst: np.ndarray,
     src_index: np.ndarray,
     bands: List[tuple],
-    fanout: Optional[dict],
-    rel: str,
     prelude: dict,
     value: np.ndarray,
     att_stash: Optional[list] = None,
@@ -828,7 +597,7 @@ def _banded_attention(
         cache-resident scratch, the attention backward runs band-local,
         and the parameter-gradient reductions are flushed one
         :data:`MATMUL_BLOCK` run at a time.  Bitwise identity with the
-        full-range reference masters holds because (a) the C
+        full-range reference reductions holds because (a) the C
         ``edge_fuse_bwd`` kernel accumulates strictly sequentially in
         ascending edge order, so feeding it ascending edge slices
         through shared accumulators replays the identical FP op
@@ -880,31 +649,6 @@ def _banded_attention(
         gf_s = _scratch((max_cover, fuse_dim), "band-gf")
         gm_s = _scratch((max_cover, fuse_dim), "band-gmask")
         pend = _scratch((B, out_dim), "band-gk-carry")
-        by_band = {}
-        if fanout is not None:
-            tasks = [
-                (
-                    fanout["static_path"],
-                    fanout["round_path"],
-                    rel,
-                    band,
-                    gout[b[0] : b[1]],
-                )
-                for band, b in live
-            ]
-            _stats["fanout_tasks"] += len(tasks)
-            _stats["exchange_bytes"] += sum(t[4].nbytes for t in tasks)
-            results = process_map(
-                _bwd_task,
-                tasks,
-                procs=fanout["workers"],
-                chunksize=1,
-                persistent=True,
-            )
-            by_band = {
-                band: (g_keys, g_q_b, rss)
-                for _rel, band, g_keys, g_q_b, rss in results
-            }
         done = 0
         for band_i, (lo, hi, e0, e1, ids) in enumerate(bands):
             if e1 <= e0:
@@ -925,60 +669,46 @@ def _banded_attention(
                 bias.data,
                 out=fd_s[:ncov],
             )
-            if fanout is not None:
-                g_keys, g_q_b, rss = by_band[band_i]
-                if g_keys is None:
-                    gk2d = np.zeros((e1 - e0, out_dim), dtype=dt)
-                else:
-                    gk2d = np.asarray(g_keys).reshape(e1 - e0, out_dim)
-                    g_q[lo:hi] = g_q_b
-                    _stats["exchange_bytes"] += gk2d.nbytes + g_q_b.nbytes
-                    _stats["worker_peak_rss_mb"] = max(
-                        _stats["worker_peak_rss_mb"], rss
-                    )
+            keys_c = matmul_blocked(fdc, key_w.data, out=keys_s[:ncov])
+            k_band = keys_c[e0 - b0 : e1 - b0].reshape(
+                e1 - e0, num_heads, head_dim
+            )
+            stash_wl = att_stash[band_i] if att_stash is not None else None
+            if stash_wl is not None:
+                # The forward sweep stashed this band's attention
+                # weights/leaky -- the exact bytes the softmax
+                # recompute would produce -- so go straight to the
+                # attention backward kernel, writing the key gradient
+                # at its run offset (``done == b0``, so the band's
+                # rows land at ``[e0 - done, e1 - done)``).
+                weights_b, leaky_b = stash_wl
+                direct = True
+                _g_keys, g_q_b = _cnative.seg_att_bwd(
+                    k_band,
+                    np.ascontiguousarray(q_we.data[lo:hi]),
+                    weights_b,
+                    leaky_b,
+                    gout[lo:hi],
+                    get_plan(ids, hi - lo),
+                    scale,
+                    gkeys_out=gk_run[e0 - done : e1 - done].reshape(
+                        e1 - e0, num_heads, head_dim
+                    ),
+                )
+                gk2d = None
+                np.copyto(g_q2d[lo:hi].reshape(g_q_b.shape), g_q_b)
+                att_stash[band_i] = None  # consumed: free eagerly
             else:
-                keys_c = matmul_blocked(fdc, key_w.data, out=keys_s[:ncov])
-                k_band = keys_c[e0 - b0 : e1 - b0].reshape(
-                    e1 - e0, num_heads, head_dim
+                g_keys, _g_q_b = _band_att_backward(
+                    k_band,
+                    q_we.data[lo:hi],
+                    gout[lo:hi],
+                    ids,
+                    hi - lo,
+                    scale,
+                    g_q_out=g_q2d[lo:hi],
                 )
-                stash_wl = (
-                    att_stash[band_i] if att_stash is not None else None
-                )
-                if stash_wl is not None:
-                    # The forward sweep stashed this band's attention
-                    # weights/leaky -- the exact bytes the softmax
-                    # recompute would produce -- so go straight to the
-                    # attention backward kernel, writing the key gradient
-                    # at its run offset (``done == b0``, so the band's
-                    # rows land at ``[e0 - done, e1 - done)``).
-                    weights_b, leaky_b = stash_wl
-                    direct = True
-                    _g_keys, g_q_b = _cnative.seg_att_bwd(
-                        k_band,
-                        np.ascontiguousarray(q_we.data[lo:hi]),
-                        weights_b,
-                        leaky_b,
-                        gout[lo:hi],
-                        get_plan(ids, hi - lo),
-                        scale,
-                        gkeys_out=gk_run[e0 - done : e1 - done].reshape(
-                            e1 - e0, num_heads, head_dim
-                        ),
-                    )
-                    gk2d = None
-                    np.copyto(g_q2d[lo:hi].reshape(g_q_b.shape), g_q_b)
-                    att_stash[band_i] = None  # consumed: free eagerly
-                else:
-                    g_keys, _g_q_b = _band_att_backward(
-                        k_band,
-                        q_we.data[lo:hi],
-                        gout[lo:hi],
-                        ids,
-                        hi - lo,
-                        scale,
-                        g_q_out=g_q2d[lo:hi],
-                    )
-                    gk2d = g_keys.reshape(e1 - e0, out_dim)
+                gk2d = g_keys.reshape(e1 - e0, out_dim)
             _stats["halo_rows"] += (e0 - b0) + (b1 - e1)
             _stats["halo_bytes"] += ((e0 - b0) + (b1 - e1)) * fuse_dim * 8
             _stats["bands"] += 1
@@ -1035,14 +765,14 @@ def _banded_attention(
 
         The numpy segment plans reduce with ``np.add.reduceat`` whose
         pairwise summation tree depends on the full edge count, so the
-        master reductions cannot be banded bitwise; they are kept
-        full-range, matching the reference graph expression for
+        parameter-gradient reductions cannot be banded bitwise; they are
+        kept full-range, matching the reference graph expression for
         expression.
         """
         # Full-range fused-message recompute: the same checkpoint
         # expressions the reference backward replays (attention.py's
-        # ``recompute`` closure), feeding the master-side block-
-        # deterministic parameter-gradient reductions below.
+        # ``recompute`` closure), feeding the block-deterministic
+        # parameter-gradient reductions below.
         eproj_r = matmul_blocked(
             attr_arr,
             w_e.data,
@@ -1056,66 +786,28 @@ def _banded_attention(
         gk = np.empty((num_edges, out_dim))
         g_q = np.zeros(q_we.shape)
         g_q2d = g_q.reshape(q_we.shape[0], out_dim)
-        if fanout is not None:
-            tasks = [
-                (
-                    fanout["static_path"],
-                    fanout["round_path"],
-                    rel,
-                    band,
-                    gout[lo:hi],
-                )
-                for band, (lo, hi, e0, e1, _ids) in enumerate(bands)
-                if e1 > e0
-            ]
-            _stats["fanout_tasks"] += len(tasks)
-            _stats["exchange_bytes"] += sum(
-                t[4].nbytes for t in tasks
+        for lo, hi, e0, e1, ids in bands:
+            if e1 <= e0:
+                continue  # empty band: gk has no rows, g_q stays zero
+            b0, b1 = _cover(e0, e1, num_edges)
+            keys_c = matmul_blocked(fd[b0:b1], key_w.data)
+            k_band = keys_c[e0 - b0 : e1 - b0].reshape(
+                e1 - e0, num_heads, head_dim
             )
-            results = process_map(
-                _bwd_task,
-                tasks,
-                procs=fanout["workers"],
-                chunksize=1,
-                persistent=True,
+            g_keys, _g_q_b = _band_att_backward(
+                k_band,
+                q_we.data[lo:hi],
+                gout[lo:hi],
+                ids,
+                hi - lo,
+                scale,
+                g_q_out=g_q2d[lo:hi],
             )
-            for _rel, band, g_keys, g_q_b, rss in results:
-                lo, hi, e0, e1, _ids = bands[band]
-                if g_keys is None:
-                    continue
-                gk[e0:e1] = g_keys
-                g_q[lo:hi] = g_q_b
-                _stats["exchange_bytes"] += g_keys.nbytes + g_q_b.nbytes
-                _stats["worker_peak_rss_mb"] = max(
-                    _stats["worker_peak_rss_mb"], rss
-                )
-                b0, b1 = _cover(e0, e1, num_edges)
-                _stats["halo_rows"] += (e0 - b0) + (b1 - e1)
-                _stats["halo_bytes"] += ((e0 - b0) + (b1 - e1)) * fuse_dim * 8
-                _stats["bands"] += 1
-        else:
-            for lo, hi, e0, e1, ids in bands:
-                if e1 <= e0:
-                    continue  # empty band: gk has no rows, g_q stays zero
-                b0, b1 = _cover(e0, e1, num_edges)
-                keys_c = matmul_blocked(fd[b0:b1], key_w.data)
-                k_band = keys_c[e0 - b0 : e1 - b0].reshape(
-                    e1 - e0, num_heads, head_dim
-                )
-                g_keys, _g_q_b = _band_att_backward(
-                    k_band,
-                    q_we.data[lo:hi],
-                    gout[lo:hi],
-                    ids,
-                    hi - lo,
-                    scale,
-                    g_q_out=g_q2d[lo:hi],
-                )
-                gk[e0:e1] = g_keys.reshape(e1 - e0, out_dim)
-                _stats["halo_rows"] += (e0 - b0) + (b1 - e1)
-                _stats["halo_bytes"] += ((e0 - b0) + (b1 - e1)) * fuse_dim * 8
-                _stats["bands"] += 1
-        # Master-side reductions, all full-range and block-deterministic --
+            gk[e0:e1] = g_keys.reshape(e1 - e0, out_dim)
+            _stats["halo_rows"] += (e0 - b0) + (b1 - e1)
+            _stats["halo_bytes"] += ((e0 - b0) + (b1 - e1)) * fuse_dim * 8
+            _stats["bands"] += 1
+        # Full-range, block-deterministic reductions --
         # bit-identical to the reference backward's own expressions.
         g_f = matmul_blocked(
             gk,
@@ -1246,7 +938,6 @@ def _serial_values(
     for band_i, (lo, hi, e0, e1, ids) in enumerate(bands):
         slot = {} if stash is not None else None
         value[lo:hi] = _band_aggregate(
-            dst=rel_spec["dst"],
             src=rel_spec["src"],
             attr=prelude["attr_arr"],
             w_edge=prelude["w_e"].data,
@@ -1257,11 +948,12 @@ def _serial_values(
             extras=extras_data,
             lo=lo,
             n_band=hi - lo,
+            e0=e0,
+            e1=e1,
+            ids=ids,
             num_heads=agg.num_heads,
             head_dim=agg.head_dim,
             scale=agg.scale,
-            edge_range=(e0, e1),
-            ids=ids,
             att_state=slot,
         )
         if stash is not None and slot:
@@ -1293,8 +985,7 @@ def propagate_periods_sharded(
     :func:`shard_tiles_for` engages, in either mode: identical inputs,
     bit-identical outputs and, in training, bit-identical loss curves and
     parameter gradients.  Under :func:`repro.tensor.no_grad` the sweep
-    keeps no per-band attention stash and frees its fan-out round arenas
-    on return, since no backward will read them.
+    keeps no per-band attention stash, since no backward will read it.
     """
     if _plan.tracing():
         # Fail-soft compile_step interplay: the banded backward closes over
@@ -1308,7 +999,7 @@ def propagate_periods_sharded(
     rows, cols = recommender.grid_shape
     use_pref = recommender.use_preferences
 
-    def rel_cuts(num_edges: int, regions, num_nodes: int, kind: str):
+    def rel_bands(dst: np.ndarray, regions, num_nodes: int, kind: str):
         # Per-relation band count: the gate's tile count sizes the largest
         # relation; smaller relations drop to fewer row bands so the
         # 4096-row block covers (whole blocks recomputed around each band,
@@ -1318,108 +1009,46 @@ def propagate_periods_sharded(
             1,
             min(
                 min(int(tiles), rows),
-                num_edges // (periods * _MIN_BAND_ROWS) or 1,
+                dst.shape[0] // (periods * _MIN_BAND_ROWS) or 1,
             ),
         )
         part = GridTilePartition(rows, cols, rel_tiles, 1)
         splits = band_node_splits(regions, part.row_splits * cols, kind)
-        return stacked_band_cuts(splits, num_nodes, periods)
+        return _band_table(dst, stacked_band_cuts(splits, num_nodes, periods))
 
-    cuts = {
-        "sas": rel_cuts(
-            edges.sa_src_s.shape[0],
-            graph.store_regions,
-            graph.num_store_nodes,
-            "store",
-        )
-    }
-    bands_s = _band_table(edges.sa_src_s, cuts["sas"])
+    bands_s = rel_bands(
+        edges.sa_src_s, graph.store_regions, graph.num_store_nodes, "store"
+    )
     bands_su = bands_u = None
     if use_pref:
-        cuts["su"] = rel_cuts(
-            edges.su_dst_s.shape[0],
-            graph.store_regions,
-            graph.num_store_nodes,
-            "store",
+        bands_su = rel_bands(
+            edges.su_dst_s, graph.store_regions, graph.num_store_nodes, "store"
         )
-        cuts["ua"] = rel_cuts(
-            edges.ua_dst_u.shape[0],
+        bands_u = rel_bands(
+            edges.ua_dst_u,
             graph.customer_regions,
             graph.num_customer_nodes,
             "customer",
         )
-        bands_su = _band_table(edges.su_dst_s, cuts["su"])
-        bands_u = _band_table(edges.ua_dst_u, cuts["ua"])
     _stats["steps" if recommender.training else "evals"] += 1
-    _drop_round_dirs()
     # The per-band attention stash only saves the backward a recompute.
     stash_bands = _cnative.available() and is_grad_enabled()
 
-    workers = num_procs()
-    fanout = workers > 1 and not in_process_worker()
-    agg0 = recommender.layers[0].sa_to_s
-    fanout_ctx: Optional[dict] = None
-    static_path = None
-    if fanout:
-        from ..nn.attention import FactoredEdgeAttr
-
-        rels_static = {
-            "sas": {
-                "dst": edges.sa_src_s,
-                "src": edges.sa_dst_a,
-                "attr": edges.sa_attr.data,
-                "extras_raw": (),
-            }
-        }
-        if use_pref:
-            su_attr = edges.su_attr
-            factored = isinstance(su_attr, FactoredEdgeAttr)
-            rels_static["su"] = {
-                "dst": edges.su_dst_s,
-                "src": edges.su_src_u,
-                "attr": su_attr.static.data if factored else su_attr.data,
-                "extras_raw": tuple(su_attr.blocks) if factored else (),
-            }
-            rels_static["ua"] = {
-                "dst": edges.ua_dst_u,
-                "src": edges.ua_src_a,
-                "attr": edges.ua_attr.data,
-                "extras_raw": (),
-            }
-        static_path = _static_arena_path(
-            rels_static,
-            cuts,
-            {
-                "num_heads": agg0.num_heads,
-                "head_dim": agg0.head_dim,
-                "scale": agg0.scale,
-                "c_kernels": bool(_cnative.available()),
-            },
-        )
-
     for layer in recommender.layers:
         # Preludes first (node-table matmuls with the reference autograd
-        # expressions), then the band values -- one fan-out round covers
-        # all banded relations of the layer.
-        p_sas = _build_prelude(layer.sa_to_s, h, q, edges.sa_attr)
+        # expressions), then the band values of every banded relation.
         rel_specs = {
             "sas": {
                 "agg": layer.sa_to_s,
-                "target": h,
-                "source": q,
-                "edge_attr": edges.sa_attr,
                 "dst": edges.sa_src_s,
                 "src": edges.sa_dst_a,
                 "bands": bands_s,
-                "prelude": p_sas,
+                "prelude": _build_prelude(layer.sa_to_s, h, q, edges.sa_attr),
             }
         }
         if use_pref:
             rel_specs["su"] = {
                 "agg": layer.su,
-                "target": h,
-                "source": z,
-                "edge_attr": edges.su_attr,
                 "dst": edges.su_dst_s,
                 "src": edges.su_src_u,
                 "bands": bands_su,
@@ -1427,80 +1056,28 @@ def propagate_periods_sharded(
             }
             rel_specs["ua"] = {
                 "agg": layer.ua,
-                "target": z,
-                "source": q,
-                "edge_attr": edges.ua_attr,
                 "dst": edges.ua_dst_u,
                 "src": edges.ua_src_a,
                 "bands": bands_u,
                 "prelude": _build_prelude(layer.ua, z, q, edges.ua_attr),
             }
-
-        values: Dict[str, np.ndarray] = {}
-        if fanout:
-            round_arrays: Dict[str, np.ndarray] = {}
-            for rel, spec in rel_specs.items():
-                prelude = spec["prelude"]
-                agg = spec["agg"]
-                round_arrays[f"pre_{rel}"] = prelude["pre"].data
-                round_arrays[f"qwe_{rel}"] = prelude["q_we"].data
-                round_arrays[f"we_{rel}"] = prelude["w_e"].data
-                round_arrays[f"bias_{rel}"] = agg.fuse.bias.data
-                round_arrays[f"keyw_{rel}"] = agg.key_proj.weight.data
-                for name, (t, _i) in zip(("x0", "x1"), prelude["extras_t"]):
-                    round_arrays[f"{name}_{rel}"] = t.data
-            round_path = _publish_round(round_arrays)
-            fanout_ctx = {
-                "static_path": static_path,
-                "round_path": round_path,
-                "workers": workers,
-            }
-            tasks = [
-                (static_path, round_path, rel, band)
-                for rel, spec in rel_specs.items()
-                for band in range(len(spec["bands"]))
-            ]
-            _stats["fanout_tasks"] += len(tasks)
-            results = process_map(
-                _fwd_task, tasks, procs=workers, chunksize=1, persistent=True
+        for spec in rel_specs.values():
+            stash = [None] * len(spec["bands"]) if stash_bands else None
+            spec["value"] = _serial_values(
+                spec, spec["bands"], spec["agg"], stash=stash
             )
-            out_dim = agg0.num_heads * agg0.head_dim
-            for rel, spec in rel_specs.items():
-                values[rel] = np.empty(
-                    (spec["prelude"]["q_we"].shape[0], out_dim)
-                )
-            for rel, band, band_value, rss in results:
-                _stats["worker_peak_rss_mb"] = max(
-                    _stats["worker_peak_rss_mb"], rss
-                )
-                lo, hi, _e0, _e1, _ids = rel_specs[rel]["bands"][band]
-                values[rel][lo:hi] = band_value
-                _stats["exchange_bytes"] += band_value.nbytes
-                _stats["bands"] += 1
-        else:
-            fanout_ctx = None
-            for rel, spec in rel_specs.items():
-                stash = [None] * len(spec["bands"]) if stash_bands else None
-                values[rel] = _serial_values(
-                    spec, spec["bands"], spec["agg"], stash=stash
-                )
-                spec["att_stash"] = stash
+            spec["att_stash"] = stash
 
         def banded(rel: str) -> Tensor:
             spec = rel_specs[rel]
             return _banded_attention(
                 spec["agg"],
-                spec["target"],
-                spec["source"],
-                spec["edge_attr"],
                 spec["dst"],
                 spec["src"],
                 spec["bands"],
-                fanout_ctx,
-                rel,
                 spec["prelude"],
-                values[rel],
-                att_stash=spec.get("att_stash"),
+                spec["value"],
+                att_stash=spec["att_stash"],
             )
 
         # Combine exactly as _NodeLevelLayer.forward does (Eqs. 7-9), with
@@ -1518,6 +1095,4 @@ def propagate_periods_sharded(
         agg_a = layer.sa_to_a(q, h, edges.sa_src_s, edges.sa_dst_a, edges.sa_attr)
         q_new = layer.w_a(agg_a + q).relu()
         h, z, q = h_new, z_new, q_new
-    if not is_grad_enabled():
-        _drop_round_dirs()
     return h, z, q

@@ -28,7 +28,6 @@ import numpy as np
 from ..data.dataset import SiteRecDataset
 from ..data.periods import NUM_PERIODS, TimePeriod
 from ..data.split import InteractionSplit
-from ..runtime import env_flag
 
 # Distance normalisation for S-U edge attributes (5 km -> 1.0).
 DISTANCE_SCALE_M = 5000.0
@@ -95,15 +94,10 @@ class RegionTypeHeteroMultiGraph:
         return int(matches[0])
 
 
-# Above this many store x customer cells the builder streams distance rows
-# instead of materialising the dense matrix (~32 MB of float64 at the
-# limit; a 10k-region metropolis would need tens of GB dense).
+# The S-U build streams stores in bands whose (band, nU) distance block
+# stays under this many cells (~32 MB of float64); the dense matrix of a
+# 10k-region metropolis would take tens of GB.
 DENSE_DISTANCE_LIMIT = 4_000_000
-
-# O2_STREAM_GRAPH=0 pins the reference per-store S-U loop even above the
-# auto threshold (the streaming band build is array-identical; the switch
-# exists for A/B verification and the bit-identity tests).
-_STREAM_GRAPH_DEFAULT = env_flag("O2_STREAM_GRAPH", True)
 
 
 def _su_edges_streaming(
@@ -211,8 +205,6 @@ def build_hetero_multigraph(
     split: Optional[InteractionSplit] = None,
     capacity_aware: bool = True,
     order_ratio_threshold: float = 0.02,
-    windowed_distances: Optional[bool] = None,
-    streaming: Optional[bool] = None,
 ) -> RegionTypeHeteroMultiGraph:
     """Construct the multi-graph from a dataset.
 
@@ -220,18 +212,12 @@ def build_hetero_multigraph(
     edges use a flat radius instead of the observed (pressure-controlled)
     delivery scopes.
 
-    ``streaming`` selects the S-U edge builder: the per-store reference
-    loop, or the banded streaming build (:func:`_su_edges_streaming`) that
-    vectorises the scope/ratio rule over ``(band, nU)`` distance blocks and
-    emits edge chunks at absolute offsets -- array-identical output, peak
-    memory bounded by one block.  The default ``None`` engages streaming
-    above :data:`DENSE_DISTANCE_LIMIT` cells (unless ``O2_STREAM_GRAPH=0``).
-
-    ``windowed_distances`` selects the distance evaluation for the
-    *reference* loop: dense (one ``(nS, nU)`` matrix) or windowed (one
-    streamed row per store).  Both compute each row with the same
-    elementwise expressions, so all three paths produce identical graphs
-    (``tests/test_partition.py``, ``tests/test_stream_graph.py``).
+    S-U edges come from the banded streaming build
+    (:func:`_su_edges_streaming`), which vectorises the scope/ratio rule
+    over ``(band, nU)`` distance blocks and emits edge chunks at absolute
+    offsets, with peak memory bounded by one block.  Its arrays equal the
+    per-store reference loop's (:func:`_su_edges_reference`, the test
+    oracle) element for element (``tests/test_stream_graph.py``).
     """
     agg = dataset.aggregates
     store_regions = dataset.store_regions
@@ -239,39 +225,16 @@ def build_hetero_multigraph(
 
     # Pairwise distances store-region x customer-region.
     centroids = dataset.grid.centroids()
-    sc = centroids[store_regions]
-    uc = centroids[customer_regions]
-    cells = len(store_regions) * len(customer_regions)
-    if streaming is None:
-        streaming = _STREAM_GRAPH_DEFAULT and cells > DENSE_DISTANCE_LIMIT
-    if windowed_distances is None:
-        windowed_distances = cells > DENSE_DISTANCE_LIMIT
-
-    max_pair_count = max(agg.max_pair_count(), 1)
-
-    if streaming:
-        su_arrays = _su_edges_streaming(
-            agg,
-            store_regions,
-            customer_regions,
-            sc,
-            uc,
-            capacity_aware,
-            order_ratio_threshold,
-            max_pair_count,
-        )
-    else:
-        su_arrays = _su_edges_reference(
-            agg,
-            store_regions,
-            customer_regions,
-            sc,
-            uc,
-            capacity_aware,
-            order_ratio_threshold,
-            max_pair_count,
-            windowed_distances,
-        )
+    su_arrays = _su_edges_streaming(
+        agg,
+        store_regions,
+        customer_regions,
+        centroids[store_regions],
+        centroids[customer_regions],
+        capacity_aware,
+        order_ratio_threshold,
+        max(agg.max_pair_count(), 1),
+    )
 
     subgraphs = {}
     for period in TimePeriod:
@@ -337,22 +300,13 @@ def _su_edges_reference(
     capacity_aware: bool,
     order_ratio_threshold: float,
     max_pair_count: int,
-    windowed_distances: bool,
 ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The per-store reference S-U loop (pre-streaming code, kept verbatim)."""
-    if windowed_distances:
-        def dist_row(si: int) -> np.ndarray:
-            diff = sc[si] - uc
-            return np.sqrt((diff**2).sum(axis=1))
+    """The per-store reference S-U loop over the dense distance matrix.
 
-    else:
-        dense_dist = np.sqrt(
-            ((sc[:, None, :] - uc[None, :, :]) ** 2).sum(axis=2)
-        )
-
-        def dist_row(si: int) -> np.ndarray:
-            return dense_dist[si]
-
+    The test oracle of :func:`_su_edges_streaming` (same signature, so a
+    test can swap it in); the default build never runs it.
+    """
+    dense_dist = np.sqrt(((sc[:, None, :] - uc[None, :, :]) ** 2).sum(axis=2))
     result = {}
     for t in range(NUM_PERIODS):
         su_src, su_dst, su_attr, su_pairs = [], [], [], []
@@ -368,7 +322,7 @@ def _su_edges_reference(
             else:
                 far = FALLBACK_SCOPE_M
                 avg = FALLBACK_SCOPE_M
-            row = dist_row(si)
+            row = dense_dist[si]
             candidates = np.flatnonzero(row <= far)
             for ui in candidates:
                 ru = int(customer_regions[ui])

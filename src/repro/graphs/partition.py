@@ -11,12 +11,12 @@ to a thin boundary ring.
 
 Ownership is a function, not a search: every region belongs to exactly one
 tile, and every edge is **owned by the tile of its destination region** --
-the aggregation side.  A tile's worker therefore computes complete
-aggregates for its own nodes from the full edge list restricted to
-``owner[dst] == tile`` (each cross-tile edge is pulled in by exactly one
-owner; nothing is double-counted, nothing is dropped), reading source rows
-for the halo ring from the shared feature arena.  :meth:`halo_regions`
-names that ring explicitly for diagnostics and prefetch sizing.
+the aggregation side.  A tile therefore computes complete aggregates for
+its own nodes from the full edge list restricted to ``owner[dst] == tile``
+(each cross-tile edge is pulled in by exactly one owner; nothing is
+double-counted, nothing is dropped), reading source rows for the halo
+ring from the full source table.  :meth:`halo_regions` names that ring
+explicitly for diagnostics.
 
 Tiles use ``np.array_split`` boundary semantics on each axis (the first
 ``rows % tile_rows`` row-bands get the extra row), so non-divisible grid

@@ -1,11 +1,12 @@
-"""Process-pool fan-out for experiment cells, tile bands and shard tasks.
+"""Process-pool fan-out for experiment cells and order-generation tiles.
 
 Everything in-process runs on one thread: the five time periods of the
 multi-graph propagate as one batched block-diagonal pass (see
-:mod:`repro.core.recommender`), so the bytes a seed trains never depend on
-the host's core count.  Coarse-grained work -- whole harness cells
-(simulate, build, train, evaluate), order-generation tiles, shard bands --
-fans out over worker *processes* with :func:`process_map` when
+:mod:`repro.core.recommender`), and its metropolis-scale band sweep
+(:mod:`repro.core.shard`) runs in-process too, so the bytes a seed trains
+never depend on the host's core count.  Two coarse-grained jobs -- whole
+harness cells (simulate, build, train, evaluate) and order-generation
+tiles -- fan out over worker *processes* with :func:`process_map` when
 ``O2_NUM_PROCS`` asks for them.  Worker processes sidestep the GIL
 entirely, and every task seeds its own RNG state, so a fanned-out run is
 identical to the serial loop.
@@ -105,20 +106,16 @@ def num_serve_procs(default: int = 1) -> int:
 
 # True inside a process_map worker (set by the pool initializer, which runs
 # once in each freshly forked/spawned child).  A task that itself calls
-# process_map -- e.g. a sharded propagation worker whose model code would
-# fan out again -- must degrade to the serial loop instead of forking a
-# pool per worker (quadratic process growth, a fork bomb under recursion).
+# process_map -- e.g. a harness cell whose city simulation would fan its
+# order tiles out again -- must degrade to the serial loop instead of
+# forking a pool per worker (quadratic process growth, a fork bomb under
+# recursion).
 _in_worker = False
 
 
 def _mark_worker() -> None:
     global _in_worker
     _in_worker = True
-
-
-def in_process_worker() -> bool:
-    """Whether this process is a :func:`process_map` pool worker."""
-    return _in_worker
 
 
 class ProcessMapError(RuntimeError):
@@ -150,49 +147,11 @@ class _IndexedTask:
             ) from exc
 
 
-# Persistent pool (``process_map(..., persistent=True)``): rounds that fan
-# out many times per second -- one per layer per training step in sharded
-# training -- cannot afford a fork+teardown per call.  The pool is keyed by
-# (start method, worker count); a request with a different worker count
-# tears the old pool down first, and a pool that lost a worker is dropped
-# so the next call starts a fresh one.  Forked workers snapshot the parent
-# at creation time, so persistent callers must ship all round-varying state
-# through their task arguments (the shard arenas do exactly that).
-_persistent_pool: Optional[ProcessPoolExecutor] = None
-_persistent_key: Optional[tuple] = None
-
-
-def _get_process_pool(ctx, method: str, workers: int) -> ProcessPoolExecutor:
-    global _persistent_pool, _persistent_key
-    key = (method, workers)
-    if _persistent_key != key:
-        shutdown_process_pool()
-    if _persistent_pool is None:
-        _persistent_pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx, initializer=_mark_worker
-        )
-        _persistent_key = key
-        import atexit
-
-        atexit.register(shutdown_process_pool)
-    return _persistent_pool
-
-
-def shutdown_process_pool() -> None:
-    """Stop the persistent :func:`process_map` pool (tests/atexit)."""
-    global _persistent_pool, _persistent_key
-    if _persistent_pool is not None:
-        _persistent_pool.shutdown(wait=True, cancel_futures=True)
-        _persistent_pool = None
-        _persistent_key = None
-
-
 def process_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     procs: Optional[int] = None,
     chunksize: Optional[int] = None,
-    persistent: bool = False,
 ) -> List[R]:
     """``[fn(x) for x in items]`` across worker processes, in item order.
 
@@ -203,11 +162,8 @@ def process_map(
     item.  Workers are forked where available (cheap, inherits imports) and
     spawned elsewhere.  ``chunksize`` items travel to a worker per
     submission: the default batches about four submissions per worker,
-    ``1`` keeps long-running heterogeneous tasks load-balanced.
-
-    ``persistent=True`` reuses one process-wide pool across calls (see
-    :func:`_get_process_pool`) -- the fan-out pattern of sharded training,
-    where a per-call pool would pay a fork per layer per step.
+    ``1`` keeps long-running heterogeneous tasks load-balanced.  Each
+    call starts its own pool and shuts it down before returning.
 
     A task that raises in a worker surfaces as :class:`ProcessMapError`
     naming the failing item's index and (truncated) repr, chained from the
@@ -228,16 +184,11 @@ def process_map(
     ctx = mp.get_context(method)
     task, indexed = _IndexedTask(fn), list(enumerate(items))
     try:
-        if persistent:
-            pool = _get_process_pool(ctx, method, workers)
-            return list(pool.map(task, indexed, chunksize=chunksize))
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=ctx, initializer=_mark_worker
         ) as pool:
             return list(pool.map(task, indexed, chunksize=chunksize))
     except BrokenProcessPool as exc:
-        if persistent:
-            shutdown_process_pool()
         raise ProcessMapError(
             f"a process_map worker died before returning its results ({exc})"
         ) from exc

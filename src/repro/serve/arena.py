@@ -77,19 +77,13 @@ def save_raw_arena(
     path: PathLike,
     *,
     extra_header: Union[dict, None] = None,
-    durable: bool = True,
 ) -> Path:
     """Write named arrays + JSON-able metadata as one arena file.
 
-    The generic writer under :func:`save_arena`, also used directly by the
-    sharded-propagation executor (:mod:`repro.core.shard`) to publish
-    read-only feature tables that forked workers ``mmap`` instead of
-    unpickling.  ``extra_header`` entries are merged into the top-level
-    JSON header (the snapshot path stores ``snapshot_id`` there).  The
-    write is atomic (temp file + ``os.replace``); ``durable=False`` skips
-    the ``fsync`` for scratch arenas whose lifetime is one propagate call
-    -- crash consistency is irrelevant there and the sync would stall the
-    round on metropolis-sized tables.
+    The generic writer under :func:`save_arena`.  ``extra_header`` entries
+    are merged into the top-level JSON header (the snapshot path stores
+    ``snapshot_id`` there).  The write is atomic and durable: the temp
+    file is ``fsync``-ed before ``os.replace`` publishes it.
     """
     path = Path(path)
     arrays = {
@@ -130,8 +124,7 @@ def save_raw_arena(
             # entry is in bounds.
             out.truncate(data_start + offset)
             out.flush()
-            if durable:
-                os.fsync(out.fileno())
+            os.fsync(out.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         try:

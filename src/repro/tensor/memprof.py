@@ -193,10 +193,7 @@ def format_report(snapshot: Optional[dict] = None) -> str:
             f"  shard_train: steps={st['steps']} evals={st['evals']} "
             f"bands={st['bands']} "
             f"nodes={st['nodes']} halo={st['halo_bytes'] / 1e6:.1f} MB "
-            f"({st['halo_rows']} rows) "
-            f"exchange={st['exchange_bytes'] / 1e6:.1f} MB "
-            f"fanout_tasks={st['fanout_tasks']} "
-            f"worker_peak_rss={st['worker_peak_rss_mb']:.1f} MB"
+            f"({st['halo_rows']} rows)"
         )
         lines.append(
             f"  shard gates: eval={snap.get('shard_gate_reason', '?')!r} "

@@ -92,10 +92,10 @@ def rows_matmul(a: ArrayLike, w: ArrayLike) -> Tensor:
     """Differentiable ``a @ w`` with a :func:`matmul_blocked` forward.
 
     Used for edge-count-sized projections (edge attributes through the
-    fusion weight's edge block) so that sharded workers can rebuild any
-    block-aligned row range of the value bit-for-bit without the master
-    shipping the (E, F) product through the feature arena.  Identical to
-    ``a @ w`` below :data:`MATMUL_BLOCK` rows.
+    fusion weight's edge block) so that a grid-tile band can rebuild any
+    block-aligned row range of the value bit-for-bit without the full
+    (E, F) product.  Identical to ``a @ w`` below :data:`MATMUL_BLOCK`
+    rows.
     """
     t_a = as_tensor(a)
     t_w = as_tensor(w)

@@ -5,8 +5,6 @@ partitioner, so each is pinned here: near-equal contiguous bands for
 non-divisible dimensions, identity behaviour for the single-tile
 degenerate case, total destination-side edge ownership (halo
 completeness), and tolerance of tiles that happen to own zero stores.
-The windowed hetero-graph builder -- the metropolis-scale memory fix that
-rides the same PR -- is pinned equal to the dense construction.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs.hetero import build_hetero_multigraph
 from repro.graphs.partition import GridTilePartition, partition_grid
 
 
@@ -105,17 +102,3 @@ def test_partition_grid_caps_and_factors():
     assert ribbon.num_tiles <= 9
     with pytest.raises(ValueError):
         GridTilePartition(4, 4, 5, 1)
-
-
-def test_windowed_distance_builder_matches_dense(dataset):
-    dense = build_hetero_multigraph(dataset, windowed_distances=False)
-    windowed = build_hetero_multigraph(dataset, windowed_distances=True)
-    assert np.array_equal(dense.sa_src_s, windowed.sa_src_s)
-    assert np.array_equal(dense.sa_attr, windowed.sa_attr)
-    for period, sub in dense.subgraphs.items():
-        wsub = windowed.subgraphs[period]
-        assert np.array_equal(sub.su_src_u, wsub.su_src_u)
-        assert np.array_equal(sub.su_dst_s, wsub.su_dst_s)
-        # Bitwise: both paths evaluate the same elementwise expressions.
-        assert np.array_equal(sub.su_attr, wsub.su_attr)
-        assert np.array_equal(sub.ua_attr, wsub.ua_attr)

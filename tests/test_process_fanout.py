@@ -92,17 +92,15 @@ _WORKER_DEATH_SCRIPT = textwrap.dedent(
             os._exit(1)
         return x
 
-    for persistent in (False, True):
-        try:
-            parallel.process_map(die_on_one, range(4), procs=2, persistent=persistent)
-        except parallel.ProcessMapError as exc:
-            assert "died" in str(exc), exc
-        else:
-            raise SystemExit("a dead worker went unreported")
-    # The broken persistent pool was dropped: the next call gets a fresh one.
-    fresh = parallel.process_map(abs, [-1, -2, -3], procs=2, persistent=True)
+    try:
+        parallel.process_map(die_on_one, range(4), procs=2)
+    except parallel.ProcessMapError as exc:
+        assert "died" in str(exc), exc
+    else:
+        raise SystemExit("a dead worker went unreported")
+    # The broken pool died with its call: the next call gets a fresh one.
+    fresh = parallel.process_map(abs, [-1, -2, -3], procs=2)
     assert fresh == [1, 2, 3], fresh
-    parallel.shutdown_process_pool()
     print("ok")
     """
 )

@@ -2,10 +2,10 @@
 
 The engine's contract is the strongest the repo makes: the stitched
 per-band result must be **byte-for-byte** the dense batched pass, across
-the ablation grid (capacity / preferences / C kernels), across serial
-in-process and forked-pool execution, and through a whole training ``fit``
-(loss curves + final parameter fingerprint).  Anything weaker would let the
-metropolis path drift from the paper's model.
+the ablation grid (capacity / preferences / C kernels), across band
+counts, and through a whole training ``fit`` (loss curves + final
+parameter fingerprint).  Anything weaker would let the metropolis path
+drift from the paper's model.
 """
 
 from __future__ import annotations
@@ -24,16 +24,13 @@ from repro.tensor import cnative
 
 @pytest.fixture(autouse=True)
 def _restore_toggles():
-    """Every test leaves the global shard/pool/kernel state untouched."""
+    """Every test leaves the global shard/kernel state untouched."""
     prev_tiles = shard.set_shard_tiles(None)
     shard.set_shard_tiles(prev_tiles)
-    prev_procs = parallel.set_num_procs(None)
-    parallel.set_num_procs(prev_procs)
     prev_c = cnative.set_c_kernels(True)
     cnative.set_c_kernels(prev_c)
     yield
     shard.set_shard_tiles(prev_tiles)
-    parallel.set_num_procs(prev_procs)
     cnative.set_c_kernels(prev_c)
 
 
@@ -46,16 +43,15 @@ def _sha_periods(out) -> str:
     return digest.hexdigest()
 
 
-def _propagate_sha(model, tiles: int, procs: int) -> str:
+def _propagate_sha(model, tiles: int) -> str:
     shard.set_shard_tiles(tiles)
-    parallel.set_num_procs(procs)
     capacity_su, _ = model._capacity_pass()
     return _sha_periods(model.recommender.propagate_periods(capacity_su))
 
 
 def _reference_sha(model) -> str:
     """The dense batched pass every banded run must reproduce."""
-    return _propagate_sha(model, tiles=0, procs=0)
+    return _propagate_sha(model, tiles=0)
 
 
 @pytest.mark.parametrize("variant", ["full", "wo_co", "wo_cocu"])
@@ -68,12 +64,11 @@ def test_sharded_bitwise_equals_unsharded(dataset, variant):
     model = O2SiteRec(dataset, config=config)
     model.eval()
     reference = _reference_sha(model)
-    assert _propagate_sha(model, tiles=3, procs=0) == reference
-    assert _propagate_sha(model, tiles=3, procs=2) == reference
+    assert _propagate_sha(model, tiles=3) == reference
     # Non-divisible band count and the maximum (one band per grid row).
-    assert _propagate_sha(model, tiles=5, procs=0) == reference
+    assert _propagate_sha(model, tiles=5) == reference
     rows = model.recommender.grid_shape[0]
-    assert _propagate_sha(model, tiles=rows, procs=0) == reference
+    assert _propagate_sha(model, tiles=rows) == reference
 
 
 @pytest.mark.skipif(not cnative.available(), reason="C kernels not built")
@@ -82,8 +77,7 @@ def test_sharded_bitwise_without_c_kernels(dataset):
     model = O2SiteRec(dataset)
     model.eval()
     reference = _reference_sha(model)
-    assert _propagate_sha(model, tiles=3, procs=0) == reference
-    assert _propagate_sha(model, tiles=3, procs=2) == reference
+    assert _propagate_sha(model, tiles=3) == reference
 
 
 def test_fit_identical_with_sharded_eval(dataset, split):
@@ -154,13 +148,13 @@ def test_resolve_tiles_env(monkeypatch):
     assert shard.resolve_shard_tiles(10) == shard.DEFAULT_SHARD_TILES
 
 
-def test_no_shard_inside_pool_worker(dataset, monkeypatch):
-    """A fan-out worker must not re-shard (no nested pools, no recursion)."""
+def test_shard_inside_pool_worker(dataset, monkeypatch):
+    """The sweep forks nothing, so a pool worker bands like any process."""
     model = O2SiteRec(dataset)
     model.eval()
     shard.set_shard_tiles(3)
     monkeypatch.setattr(parallel, "_in_worker", True)
-    assert shard.shard_tiles_for(model.recommender) == 0
+    assert shard.shard_tiles_for(model.recommender) == 3
 
 
 def test_snapshot_from_sharded_build_matches(dataset, split):

@@ -2,10 +2,11 @@
 
 Training raises the banded engine's eval contract: not just forward values
 but **loss curves and every parameter byte** must match the dense step
-(``shard_tiles=0``) -- across band counts, serial and forked execution,
-kernel backends and the buffer-pool ablation -- because the banded backward
-re-derives the dense gradients from per-band recomputation plus
-block-deterministic master-side reductions.
+(``shard_tiles=0``) -- across band counts, kernel backends and the
+buffer-pool ablation, and with process fan-out switched on, which the
+in-process sweep must ignore -- because the banded backward re-derives the
+dense gradients from per-band recomputation plus block-deterministic
+reductions.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ def test_banded_training_fit_bitwise(dataset, split):
     """Dense vs banded fits: loss curves and parameter bytes, float-exact.
 
     The dense leg runs every step and eval pass with ``shard_tiles=0``; the
-    banded leg is checked serial at two band counts and through the forked
-    worker pool.
+    banded leg is checked at two band counts.
     """
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
@@ -94,16 +94,30 @@ def test_banded_training_fit_bitwise(dataset, split):
     assert stats["nodes"] > 0 and stats["bands"] > 0
     assert banded == reference
 
-    # Non-divisible band count and the forked persistent pool.
+    # Non-divisible band count.
     assert _fit_fingerprint(dataset, split, pairs, targets,
                             tiles=5) == reference
+
+
+def test_band_sweep_never_forks(dataset, split, monkeypatch):
+    """With process fan-out on, a banded fit still runs in-process.
+
+    ``O2_NUM_PROCS`` reaches harness cells and order tiles only: the band
+    sweep must start no pool, and the fit must keep the dense bytes.
+    """
+    pairs = split.train_pairs
+    targets = dataset.pair_targets(pairs)
+    reference = _fit_fingerprint(dataset, split, pairs, targets, tiles=0)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the band sweep started a process pool")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
     shard.reset_shard_train_stats()
-    forked = _fit_fingerprint(dataset, split, pairs, targets, procs=2)
-    assert forked == reference
+    banded = _fit_fingerprint(dataset, split, pairs, targets, procs=2)
     stats = shard.shard_train_stats()
-    assert stats["fanout_tasks"] > 0, "forked leg did not fan out"
-    assert stats["exchange_bytes"] > 0
-    assert stats["worker_peak_rss_mb"] > 0.0
+    assert stats["steps"] > 0 and stats["evals"] > 0
+    assert banded == reference
 
 
 @pytest.mark.skipif(not cnative.available(), reason="C kernels not built")
@@ -209,9 +223,7 @@ def _run_banded(agg, target, source, attr, dst, src, cuts):
     prelude = shard._build_prelude(agg, target, source, attr)
     spec = {"dst": dst, "src": src, "prelude": prelude}
     value = shard._serial_values(spec, bands, agg)
-    out = shard._banded_attention(
-        agg, target, source, attr, dst, src, bands, None, "syn", prelude, value
-    )
+    out = shard._banded_attention(agg, dst, src, bands, prelude, value)
     out.sum().backward(free_graph=True)
     return out.data.copy(), [
         None if p.grad is None else p.grad.copy() for p in agg.parameters()
@@ -456,32 +468,3 @@ def test_band_table_caches_ids_identity():
     # Different cuts over the same dst rebuild rather than alias.
     t3 = shard._band_table(dst, np.array([0, 20, 40], dtype=np.int64))
     assert len(t3) == 2
-
-
-def _pool_pid(_):
-    import os
-
-    return os.getpid()
-
-
-def test_persistent_process_map_reuses_pool():
-    if parallel.in_process_worker():  # pragma: no cover - defensive
-        pytest.skip("cannot fork from inside a worker")
-    try:
-        first = set(parallel.process_map(
-            _pool_pid, range(4), procs=2, persistent=True
-        ))
-        second = set(parallel.process_map(
-            _pool_pid, range(4), procs=2, persistent=True
-        ))
-        # Same worker pool across calls: no new processes appear, so the
-        # union stays within the pool size (which chunk lands on which
-        # worker is scheduling-dependent and not asserted).
-        assert len(first | second) <= 2
-    finally:
-        parallel.shutdown_process_pool()
-    third = set(parallel.process_map(
-        _pool_pid, range(4), procs=2, persistent=True
-    ))
-    assert third  # pool transparently rebuilt after shutdown
-    parallel.shutdown_process_pool()

@@ -1,8 +1,11 @@
 """Streaming (banded) S-U graph build vs the reference per-store loop.
 
-The streaming build exists to bound peak memory at metropolis scale; it
-must produce *identical* edge arrays -- same order, same float64 attrs --
-as the reference loop on any dataset.
+The streaming build is the only S-U builder: it bounds peak memory at
+metropolis scale and is the fast path at paper scale.  It must produce
+*identical* edge arrays -- same order, same float64 attrs -- as the
+reference loop over the dense distance matrix on any dataset.  The
+reference is reached by swapping it in for the streaming build, which
+takes the same arguments.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import pytest
 from repro.city import CityConfig
 from repro.city.simulator import simulate_uncached
 from repro.data.dataset import SiteRecDataset
+from repro.graphs import hetero
 from repro.graphs.hetero import build_hetero_multigraph
 
 
@@ -25,11 +29,16 @@ def dataset():
     return SiteRecDataset.from_simulation(sim)
 
 
+def _reference_build(dataset):
+    """The graph with its S-U edges from the per-store reference loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hetero, "_su_edges_streaming", hetero._su_edges_reference)
+        return build_hetero_multigraph(dataset)
+
+
 @pytest.fixture(scope="module")
 def graphs(dataset):
-    ref = build_hetero_multigraph(dataset, streaming=False)
-    stream = build_hetero_multigraph(dataset, streaming=True)
-    return ref, stream
+    return _reference_build(dataset), build_hetero_multigraph(dataset)
 
 
 def test_su_edges_identical(graphs):
@@ -53,17 +62,11 @@ def test_ua_and_sa_identical(graphs):
         assert np.array_equal(sub_ref.ua_attr, sub_s.ua_attr)
 
 
-def test_streaming_matches_windowed_reference(dataset):
-    """Streaming equals the reference even when the latter windows rows."""
-    import repro.graphs.hetero as hetero
-
-    old = hetero.DENSE_DISTANCE_LIMIT
-    hetero.DENSE_DISTANCE_LIMIT = 64  # force banding + windowed reference
-    try:
-        ref = build_hetero_multigraph(dataset, streaming=False)
-        stream = build_hetero_multigraph(dataset, streaming=True)
-    finally:
-        hetero.DENSE_DISTANCE_LIMIT = old
+def test_streaming_matches_windowed_reference(dataset, monkeypatch):
+    """Streaming equals the reference when its windows are one store row."""
+    ref = _reference_build(dataset)
+    monkeypatch.setattr(hetero, "DENSE_DISTANCE_LIMIT", 64)
+    stream = build_hetero_multigraph(dataset)
     for period, sub_ref in ref.subgraphs.items():
         sub_s = stream.subgraphs[period]
         assert np.array_equal(sub_ref.su_dst_s, sub_s.su_dst_s)
