@@ -1,11 +1,9 @@
 """Megacity data plane: columnar orders, tile-parallel sim, streaming graphs.
 
-Fresh-subprocess legs on the 100k-region megacity preset (316x316 grid),
-identical except for the ``O2_*`` switches read at import time:
+Fresh-subprocess legs on the 100k-region megacity preset (316x316 grid):
 
-* ``serial`` -- ``O2_ORDER_TABLE=0`` on the shared-stream fast path: the
-  pre-columnar data plane (one global RNG sequence, a materialised
-  ``List[OrderRecord]``), timed on order generation only;
+* ``serial`` -- the shared-stream fast path (one global RNG sequence) on
+  the same city, timed on order generation only;
 * ``tiled``  -- the megacity default: per-tile ``SeedSequence`` streams,
   fully vectorised per-tile kernels, one stitched ``OrderTable``.  Spawned
   three times with ``O2_NUM_PROCS`` 1/2/4; the driver asserts all three
@@ -13,11 +11,14 @@ identical except for the ``O2_*`` switches read at import time:
 * ``graph``  -- tiled sim -> dataset -> streaming banded hetero-graph
   build, with peak RSS gated against a static ceiling: the dense distance
   matrix alone would need ~80 GB at this size;
-* ``identity`` -- the paper-scale (16x16 x 14-day) ``O2_FAST_SIM``
-  ablation: both arms hash the order stream, the dataset arrays and a
-  short fit (loss curve + parameter SHA-256); the driver asserts the arms
-  are identical, i.e. the columnar order pipeline changed *nothing*
-  observable at paper scale.
+* ``identity`` -- the paper-scale (16x16 x 14-day) oracle check:
+  ``identity_ref`` runs the per-order reference oracles
+  (``OrderGenerator.generate_reference``, ``DispatchSimulator
+  .run_reference``), ``identity_fast`` the default generator; both hash
+  the order stream, the dataset arrays and a short fit (loss curve +
+  parameter SHA-256), and the driver asserts the two are identical, i.e.
+  the columnar order pipeline changed *nothing* observable at paper
+  scale.
 
 Usage::
 
@@ -74,7 +75,7 @@ def _order_stream_sha(orders) -> str:
 
 
 def _record_identity_sha(orders) -> str:
-    """Digest every record field-for-field (both ablation arms use this).
+    """Digest every record field-for-field (both identity legs use this).
 
     Iterates records, so a columnar view and a materialised list of the
     same orders digest identically.
@@ -122,7 +123,6 @@ def run_sim_leg(leg: str, scale: float) -> dict:
     """Time order generation (the data-plane hot loop) for one stream mode."""
     from dataclasses import replace
 
-    from repro.city.fastsim import order_table_enabled
     from repro.city.simulator import megacity_config
     from repro.city.tilesim import tile_layout
     from repro.parallel import num_procs
@@ -144,7 +144,7 @@ def run_sim_leg(leg: str, scale: float) -> dict:
         "regions": int(config.rows * config.cols),
         "tiles": int(tile_layout(config.rows, config.cols).num_tiles),
         "num_procs": int(num_procs()),
-        "order_table": bool(order_table_enabled()),
+        "order_table": getattr(orders, "table", None) is not None,
         "num_orders": len(orders),
         "gen_s": gen_s,
         "orders_per_s": len(orders) / gen_s if gen_s > 0 else 0.0,
@@ -196,9 +196,8 @@ def run_graph_leg(scale: float) -> dict:
     }
 
 
-def run_identity_leg(scale: float) -> dict:
-    """One arm of the paper-scale O2_FAST_SIM ablation (env picks the arm)."""
-    from repro.city.fastsim import fast_sim_enabled
+def run_identity_leg(scale: float, oracle: bool) -> dict:
+    """One side of the paper-scale identity: the oracles or the fast path."""
     from repro.city.simulator import real_world_config, simulate_uncached
     from repro.core import O2SiteRec, O2SiteRecConfig, TrainConfig, Trainer
     from repro.data.dataset import SiteRecDataset
@@ -206,7 +205,12 @@ def run_identity_leg(scale: float) -> dict:
     from repro.runtime import tune_allocator
 
     tune_allocator()
-    sim = simulate_uncached(real_world_config(seed=7, scale=scale))
+    config = real_world_config(seed=7, scale=scale)
+    if oracle:
+        with common.reference_orders():
+            sim = simulate_uncached(config)
+    else:
+        sim = simulate_uncached(config)
     orders_sha = _record_identity_sha(sim.orders)
 
     dataset = SiteRecDataset.from_simulation(sim)
@@ -228,7 +232,7 @@ def run_identity_leg(scale: float) -> dict:
     return {
         "leg": "identity",
         "scale": scale,
-        "fast_sim": bool(fast_sim_enabled()),
+        "orders_type": type(sim.orders).__name__,
         "num_orders": len(sim.orders),
         "orders_sha": orders_sha,
         "features_sha": features_sha,
@@ -243,13 +247,13 @@ def run_identity_leg(scale: float) -> dict:
 # ---------------------------------------------------------------------------
 
 LEG_ENV = {
-    "serial": {"O2_ORDER_TABLE": "0", "O2_NUM_PROCS": "0"},
+    "serial": {"O2_NUM_PROCS": "0"},
     "tiled": {"O2_NUM_PROCS": "1"},
     "tiled_p2": {"O2_NUM_PROCS": "2"},
     "tiled_p4": {"O2_NUM_PROCS": "4"},
     "graph": {},
-    "identity_ref": {"O2_FAST_SIM": "0"},
-    "identity_fast": {"O2_FAST_SIM": "1"},
+    "identity_ref": {},
+    "identity_fast": {},
 }
 
 
@@ -259,8 +263,6 @@ def spawn_leg(name: str, args) -> dict:
 
 def check_legs(legs: dict) -> None:
     """Invariants shared by quick and full mode (live, every run)."""
-    if legs["serial"]["order_table"]:
-        raise SystemExit("serial leg unexpectedly columnar")
     if not legs["tiled"]["order_table"]:
         raise SystemExit("tiled leg lost the order table (not the default)")
     if legs["tiled"]["tiles"] < 2:
@@ -272,13 +274,17 @@ def check_legs(legs: dict) -> None:
             f"{sorted(s[:16] for s in shas)}"
         )
     ref, fast = legs["identity_ref"], legs["identity_fast"]
-    if ref["fast_sim"] or not fast["fast_sim"]:
-        raise SystemExit("identity legs did not toggle O2_FAST_SIM")
+    generators = (ref["orders_type"], fast["orders_type"])
+    if generators != ("list", "OrderRecordSeq"):
+        raise SystemExit(
+            f"identity legs ran {generators}, expected the oracle's list "
+            f"and the fast path's OrderRecordSeq"
+        )
     for key in ("orders_sha", "features_sha", "train_losses", "params_sha"):
         if ref[key] != fast[key]:
             raise SystemExit(
-                f"paper-scale identity broken: {key} differs across the "
-                f"O2_FAST_SIM ablation"
+                f"paper-scale identity broken: {key} differs between the "
+                f"reference oracle and the fast path"
             )
 
 
@@ -320,7 +326,7 @@ def format_report(legs: dict, scale: float, mode: str) -> str:
             if mode == "full"
             else ""
         ),
-        f"paper-scale O2_FAST_SIM ablation: orders, features, "
+        f"paper-scale oracle vs fast path: orders, features, "
         f"{IDENTITY_EPOCHS}-epoch loss curve and parameters identical: "
         f"{legs['identity_ref']['params_sha'] == legs['identity_fast']['params_sha']}",
     ]
@@ -370,7 +376,7 @@ def main() -> None:
         elif ns.leg == "graph":
             result = run_graph_leg(scale)
         else:
-            result = run_identity_leg(scale)
+            result = run_identity_leg(scale, oracle=ns.leg == "identity_ref")
         print(json.dumps(result))
         return
 

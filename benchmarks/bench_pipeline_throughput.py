@@ -4,15 +4,16 @@ Three layers of measurement, every leg in a fresh subprocess so kernel
 switches, allocator state and in-process memoisation cannot leak between
 configurations:
 
-1. *Simulation* -- one real-preset month, reference per-order loop
-   (``O2_FAST_SIM=0``) vs the columnar fast path.  Both legs hash their
-   order log; the hashes must match bit-for-bit (the fast path is a
-   reformulation, not an approximation).
+1. *Simulation* -- one real-preset month, the per-order reference oracle
+   (``OrderGenerator.generate_reference``, patched in by the leg) vs the
+   columnar fast path.  Both legs hash their order log record by record;
+   the hashes must match bit-for-bit (the fast path is a reformulation,
+   not an approximation).
 2. *Table data plane* -- the dataset builds behind a quick-harness
    comparison (one per round) plus the bench suite's repeated requests for
    the shared city (pre-PR, every bench process re-simulated it).  Legs:
 
-   * ``table_ref``  -- pre-PR configuration: reference sim, no cache;
+   * ``table_ref``  -- the reference oracle, no cache;
    * ``table_cold`` -- fast sim + a fresh cache directory (first build
      simulates, repeats replay from disk);
    * ``table_warm`` -- same cache directory, re-run (everything replays).
@@ -35,6 +36,7 @@ serial, the cold-cache leg misses its floor (3x in full mode, 1x in
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -61,10 +63,12 @@ SHARED_REQUESTS = 5  # distinct bench processes wanting the same city
 def run_sim_leg(scale: float) -> dict:
     """Simulate one real-preset month; hash the order log bit-for-bit.
 
-    The hash runs over the cache module's canonical columnar packing, which
+    Both legs hash the record-list packing of the cache module, which
     coerces every field to its declared dtype -- the fast path may hand
     back Python floats where the reference loop kept numpy scalars, and
-    those must hash the same when their values are bit-identical.
+    those must hash the same when their values are bit-identical.  The
+    fast leg's table view is materialised first: the table's own columnar
+    packing is a different byte layout of the same records.
     """
     import hashlib
 
@@ -76,13 +80,14 @@ def run_sim_leg(scale: float) -> dict:
     sim = simulate(config)
     elapsed = time.perf_counter() - started
     digest = hashlib.sha256()
-    arrays = _orders_to_arrays(sim.orders)
+    arrays = _orders_to_arrays(list(sim.orders))
     for name in sorted(arrays):
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(arrays[name]).tobytes())
     return {
         "seconds": elapsed,
         "orders": sim.num_orders,
+        "orders_type": type(sim.orders).__name__,
         "sha256": digest.hexdigest(),
     }
 
@@ -150,14 +155,14 @@ def run_procs_leg(scale: float) -> dict:
 
 LEGS = {
     # Simulation legs never touch the cache: they time the generators.
-    "sim_ref": {"O2_FAST_SIM": "0", "O2_PIPELINE_CACHE": "0"},
-    "sim_fast": {"O2_FAST_SIM": "1", "O2_PIPELINE_CACHE": "0"},
-    # The pre-PR data plane: reference sim, nothing cached anywhere.
-    "table_ref": {"O2_FAST_SIM": "0", "O2_PIPELINE_CACHE": "0"},
+    "sim_ref": {"O2_PIPELINE_CACHE": "0"},
+    "sim_fast": {"O2_PIPELINE_CACHE": "0"},
+    # The reference data plane: the per-order oracle, nothing cached.
+    "table_ref": {"O2_PIPELINE_CACHE": "0"},
     # Cache dir is injected by the driver (fresh for cold, reused for warm).
-    "table_cold": {"O2_FAST_SIM": "1"},
-    "table_warm": {"O2_FAST_SIM": "1"},
-    "procs": {"O2_FAST_SIM": "1"},
+    "table_cold": {},
+    "table_warm": {},
+    "procs": {},
 }
 
 
@@ -169,11 +174,18 @@ def spawn_leg(name: str, args: list, cache_dir: str | None = None) -> dict:
 
 
 def run_leg(name: str, args: argparse.Namespace) -> dict:
-    if name.startswith("sim"):
-        return run_sim_leg(args.scale)
-    if name.startswith("table"):
-        return run_table_leg(args.scale, args.rounds, args.requests)
-    return run_procs_leg(args.scale)
+    # The reference legs run the per-order oracles, in-process.
+    generators = (
+        common.reference_orders()
+        if name.endswith("_ref")
+        else contextlib.nullcontext()
+    )
+    with generators:
+        if name.startswith("sim"):
+            return run_sim_leg(args.scale)
+        if name.startswith("table"):
+            return run_table_leg(args.scale, args.rounds, args.requests)
+        return run_procs_leg(args.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +285,13 @@ def main() -> int:
     }
     (ROOT / "BENCH_pipeline.json").write_text(json.dumps(payload, indent=2) + "\n")
 
+    generators = (sim["sim_ref"]["orders_type"], sim["sim_fast"]["orders_type"])
+    if generators != ("list", "OrderRecordSeq"):
+        print(
+            f"FAIL: sim legs ran {generators}, expected the oracle's list "
+            f"and the fast path's OrderRecordSeq"
+        )
+        return 1
     if not sim_identical:
         print("FAIL: fast-sim order log diverges from the reference")
         return 1

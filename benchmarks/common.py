@@ -9,6 +9,7 @@ pytest's capture.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -105,3 +106,26 @@ def run_bench_leg(script, leg: str, args=(), env=None) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{leg} leg failed:\n{proc.stdout}\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+@contextlib.contextmanager
+def reference_orders():
+    """Run order generation and agent dispatch on the per-order oracles.
+
+    Inside the block ``OrderGenerator.generate`` is
+    ``generate_reference`` (a plain record list) and
+    ``DispatchSimulator.run`` is ``run_reference``: the reference legs of
+    the data-plane benchmarks time and hash these against the fast paths.
+    The caller keeps the pipeline cache off (``O2_PIPELINE_CACHE=0``), or
+    a cached fast-path log would stand in for the oracle's.
+    """
+    from repro.city.dispatch import DispatchSimulator
+    from repro.city.orders import OrderGenerator
+
+    saved = OrderGenerator.generate, DispatchSimulator.run
+    OrderGenerator.generate = OrderGenerator.generate_reference
+    DispatchSimulator.run = DispatchSimulator.run_reference
+    try:
+        yield
+    finally:
+        OrderGenerator.generate, DispatchSimulator.run = saved

@@ -26,7 +26,6 @@ from ..data.periods import TimePeriod
 from ..data.records import OrderRecord
 from .config import CityConfig
 from .couriers import ACTIVE_FRACTION, CourierFleet
-from .fastsim import fast_sim_enabled
 from .landuse import CityLandUse
 
 
@@ -166,22 +165,16 @@ class DispatchSimulator:
         Rejected orders (admission control) are dropped from the log, as
         they would never appear in the platform's completed-order records;
         the count is available as :attr:`rejected`.
+
+        This is the :meth:`assign` loop with per-order overhead hoisted,
+        bit-for-bit equal to :meth:`run_reference`: the sole RNG draw per
+        accepted order happens at the same point in the stream, the
+        store/customer coordinates are the same ``from_lonlat`` arithmetic
+        evaluated columnar up front, and the on-shift candidate set (a pure
+        function of the period) is computed once per period instead of per
+        order.
         """
         ordered = sorted(orders, key=lambda o: o.created_minute)
-        if fast_sim_enabled():
-            return self._run_fast(ordered)
-        dispatched = (self.assign(o) for o in ordered)
-        return [o for o in dispatched if o is not None]
-
-    def _run_fast(self, ordered: List[OrderRecord]) -> List[OrderRecord]:
-        """:meth:`assign` loop with per-order overhead hoisted.
-
-        Bit-for-bit equal to the reference: the sole RNG draw per accepted
-        order happens at the same point in the stream, the store/customer
-        coordinates are the same ``from_lonlat`` arithmetic evaluated
-        columnar up front, and the on-shift candidate set (a pure function
-        of the period) is computed once per period instead of per order.
-        """
         cfg = self.config
         grid = self.land.grid
         speed = cfg.courier_speed_m_per_min
@@ -260,6 +253,16 @@ class DispatchSimulator:
                 )
             )
         return out
+
+    def run_reference(self, orders: Sequence[OrderRecord]) -> List[OrderRecord]:
+        """One :meth:`assign` per order: :meth:`run`'s test oracle.
+
+        No production path calls it: tests and the benchmarks' reference
+        legs patch it over :meth:`run` to check the fast loop against it.
+        """
+        ordered = sorted(orders, key=lambda o: o.created_minute)
+        dispatched = (self.assign(o) for o in ordered)
+        return [o for o in dispatched if o is not None]
 
     # ------------------------------------------------------------------
     def utilisation(self, minute: float) -> float:

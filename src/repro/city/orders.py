@@ -6,7 +6,7 @@ regional taste -- Section II-C: preferences differ by period and by
 neighbourhood), and pick a store among those whose pressure-controlled
 delivery scope covers the customer, weighted by store quality, distance
 decay and estimated delivery time (Section II-B3: long delivery times deter
-customers).  The result is a list of Table-I order records.
+customers).  The result is a columnar log of Table-I order records.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from ..data.periods import NUM_PERIODS, TimePeriod
 from ..data.records import MINUTES_PER_DAY, OrderRecord
 from .config import CityConfig
 from .couriers import CourierFleet
-from .fastsim import fast_sim_enabled, order_table_enabled
 from .landuse import CityLandUse
 from .stores import PlacedStore
 
@@ -236,10 +235,11 @@ class OrderGenerator:
     def generate(self) -> Sequence[OrderRecord]:
         """Simulate ``config.num_days`` days of orders.
 
-        With :func:`repro.city.fastsim.fast_sim_enabled` the columnar fast
-        path runs instead of the reference loop; the two produce identical
-        record streams (``tests/test_fast_sim.py``).  With
-        ``config.order_streams == "tiles"`` the deterministic-streams
+        Returns a lazy :class:`~repro.data.ordertable.OrderRecordSeq` view
+        over an :class:`~repro.data.ordertable.OrderTable`.  The shared
+        stream runs the columnar :meth:`_generate_fast`, record-for-record
+        equal to :meth:`generate_reference` (``tests/test_fast_sim.py``).
+        With ``config.order_streams == "tiles"`` the deterministic-streams
         tile-parallel generator runs instead (its own RNG discipline, see
         :mod:`repro.city.tilesim`).
         """
@@ -247,13 +247,20 @@ class OrderGenerator:
             from .tilesim import generate_tiled
 
             return generate_tiled(self)
-        if fast_sim_enabled():
-            return self._generate_fast()
+        return self._generate_fast()
+
+    def generate_reference(self) -> List[OrderRecord]:
+        """The shared stream's per-order reference loop (the test oracle).
+
+        Draws every variate and assembles every record in nested Python
+        loops (:meth:`_make_order`), as a materialised record list.  No
+        production path calls it: tests and the benchmarks' reference legs
+        patch it over :meth:`generate` to check the fast path against it.
+        """
         cfg = self.config
         rng = self.rng
         orders: List[OrderRecord] = []
         order_counter = 0
-        num_regions = self.land.num_regions
 
         for day in range(cfg.num_days):
             weekend = day % 7 in (5, 6)
@@ -262,7 +269,6 @@ class OrderGenerator:
             )
             for period in TimePeriod:
                 t = int(period)
-                start_hour, end_hour = period.hours
                 lam = (
                     self.fleet.demand_rate[:, t]
                     * period.duration_hours
@@ -296,23 +302,22 @@ class OrderGenerator:
         return orders
 
     # -- columnar fast path --------------------------------------------
-    def _courier_pools(self) -> Tuple[List[List[str]], List[int]]:
-        """Per-region courier-id pools with the empty-pool fallback applied.
+    def _courier_pool_sizes(self) -> List[int]:
+        """Per-region courier-pool sizes with the empty-pool fallback applied.
 
-        ``CourierFleet.sample_courier`` flattens the whole fleet whenever a
-        region has no home couriers; precomputing the flattened pool once
-        keeps the fast path's ``rng.integers(len(pool))`` draws identical.
+        ``CourierFleet.sample_courier`` draws from the whole fleet whenever
+        a region has no home couriers; the fast paths' ``rng.integers(size)``
+        draws must use the same pool size to stay identical.
         """
         pools = self.fleet.couriers_by_region
-        flat = [c for regional in pools for c in regional]
-        effective = [p if p else flat for p in pools]
-        return effective, [len(p) for p in effective]
+        fleet_size = sum(len(p) for p in pools)
+        return [len(p) if p else fleet_size for p in pools]
 
     def _courier_numbering(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(offsets, has_pool, flat_ids)`` for integer courier lookup.
 
         ``flat_ids`` is the whole fleet in region-concatenation order --
-        the same flattening ``_courier_pools`` uses for the empty-pool
+        the same flattening ``sample_courier`` uses for the empty-pool
         fallback -- so an in-pool draw ``ci`` for store region ``sr`` maps
         to global courier number ``offsets[sr] + ci`` and a fallback draw
         maps to ``ci`` directly.
@@ -355,15 +360,31 @@ class OrderGenerator:
         return cached
 
     def _generate_fast(self) -> Sequence[OrderRecord]:
-        """Columnar twin of the reference loop above.
+        """Columnar twin of :meth:`generate_reference`, bit-for-bit.
 
         RNG calls happen in exactly the reference order: the per-day and
         per-period group draws are unchanged, ``rng.choice`` becomes the
         equivalent ``rng.random(k)`` + inverse-CDF lookup, and the per-order
-        draws run in a tight buffer-filling loop (three uniforms as one
-        ``rng.random(3)``, the delivery-noise ``normal`` as a
-        ``standard_normal`` scaled later).  All derived arithmetic is
-        deferred to :meth:`_assemble_fast`.
+        draws run in a tight buffer-filling loop (the delivery-noise
+        ``normal`` as a ``standard_normal`` scaled later).  All derived
+        arithmetic is deferred to :meth:`_assemble_fast`, as columnar numpy
+        expressions that reproduce the reference's scalar operation order
+        elementwise.
+
+        The numpy stream identities this relies on, bitwise (pinned by
+        ``tests/test_fast_sim.py``, so a numpy upgrade that breaks one fails
+        there first):
+
+        * ``rng.random(n)`` draws the same doubles as ``n`` scalar
+          ``rng.random()`` calls;
+        * ``rng.lognormal(0.0, [s1, s2])`` draws the same values as two
+          scalar ``rng.lognormal(0.0, si)`` calls;
+        * ``rng.normal(0.0, s)`` equals ``s * rng.standard_normal()``
+          (``0.0 + s*z`` cannot round differently from ``s*z``);
+        * ``rng.choice(a, size=k, p=p)`` equals
+          ``a[cdf.searchsorted(rng.random(k), 'right')]`` with
+          ``cdf = p.cumsum(); cdf /= cdf[-1]`` -- numpy's own implementation
+          of the replacement path.
         """
         cfg = self.config
         rng = self.rng
@@ -376,7 +397,7 @@ class OrderGenerator:
         rint = rng.integers
         rstd = rng.standard_normal
 
-        _, pool_sizes = self._courier_pools()
+        pool_sizes = self._courier_pool_sizes()
         store_regions = self._store_regions
         choice_get = self._choice_cache.get
         type_prob_cache: Dict[Tuple[int, int], np.ndarray] = {}
@@ -455,7 +476,7 @@ class OrderGenerator:
                                 cour.append(rint(pool_sizes[sr]))
 
         if not picked_groups:
-            return []
+            return OrderTable.concat([], self.store_registry()).records_view()
         draws = {
             "u0": np.array(u0),
             "u1": np.array(u1),
@@ -472,14 +493,13 @@ class OrderGenerator:
     def _assemble_fast(
         self, picked_groups, g_meta, draws, noisy: bool
     ) -> Sequence[OrderRecord]:
-        """Turn draw buffers into orders with columnar arithmetic.
+        """Turn draw buffers into an order-table view, columnar.
 
         Each expression mirrors the scalar operation order of
         :meth:`_make_order` exactly (same grouping, same operand order) so
         every float matches the reference bit-for-bit.  The result is a
         lazy :class:`~repro.data.ordertable.OrderRecordSeq` view over an
-        :class:`~repro.data.ordertable.OrderTable` unless
-        ``O2_ORDER_TABLE=0`` pins the materialised record list.
+        :class:`~repro.data.ordertable.OrderTable`.
         """
         cfg = self.config
         grid = self.land.grid
@@ -495,11 +515,6 @@ class OrderGenerator:
         creg = np.repeat(meta[:, 5], ks)
         stype = np.repeat(meta[:, 6], ks)
         uni = np.stack([draws["u0"], draws["u1"], draws["u2"]], axis=1)
-        exp_d = draws["exp"]
-        prep_ln = draws["prep_ln"]
-        deliv_ln = draws["deliv_ln"]
-        cust = draws["cust"]
-        cour = draws["cour"]
 
         stores = self.stores
         store_x = np.array([s.x for s in stores])
@@ -510,9 +525,9 @@ class OrderGenerator:
             self._prep[stype],
             self._congestion[gidx, t_arr],
             uni,
-            exp_d,
-            prep_ln,
-            deliv_ln,
+            draws["exp"],
+            draws["prep_ln"],
+            draws["deliv_ln"],
             draws["noise_z"] if noisy else None,
             base,
             duration,
@@ -521,95 +536,28 @@ class OrderGenerator:
             store_x[gidx],
             store_y[gidx],
         )
-        cx, cy = cols["cx"], cols["cy"]
-        distance = cols["distance"]
-        created, accepted = cols["created"], cols["accepted"]
-        pickup, delivered = cols["pickup"], cols["delivered"]
-        clon, clat = grid.to_lonlat(cx, cy)
+        clon, clat = grid.to_lonlat(cols["cx"], cols["cy"])
         sregs = self._store_regions[gidx]
-
-        if order_table_enabled():
-            table = OrderTable(
-                {
-                    "store_index": gidx,
-                    "store_region": sregs,
-                    "customer_region": creg,
-                    "store_type": stype,
-                    "cust_tag": creg,
-                    "cust_serial": cust,
-                    "courier_num": self._courier_numbers_for(sregs, cour),
-                    "customer_lon": clon,
-                    "customer_lat": clat,
-                    "created_minute": created,
-                    "accepted_minute": accepted,
-                    "pickup_minute": pickup,
-                    "delivered_minute": delivered,
-                    "distance_m": distance,
-                },
-                self.store_registry(),
-            )
-            return table.records_view()
-
-        store_lon = np.array([s.record.lon for s in stores])
-        store_lat = np.array([s.record.lat for s in stores])
-        store_ids = [s.record.store_id for s in stores]
-        pools, _ = self._courier_pools()
-        records = [
-            OrderRecord(
-                f"O{i:07d}",
-                store_ids[g],
-                f"U{r:04d}_{u:04d}",
-                pools[sr][ci],
-                slon,
-                slat,
-                lon,
-                lat,
-                sr,
-                r,
-                cr,
-                ac,
-                pu,
-                de,
-                dist,
-                st,
-            )
-            for i, (
-                g,
-                r,
-                u,
-                sr,
-                ci,
-                slon,
-                slat,
-                lon,
-                lat,
-                cr,
-                ac,
-                pu,
-                de,
-                dist,
-                st,
-            ) in enumerate(
-                zip(
-                    gidx.tolist(),
-                    creg.tolist(),
-                    cust.tolist(),
-                    sregs.tolist(),
-                    cour.tolist(),
-                    store_lon[gidx].tolist(),
-                    store_lat[gidx].tolist(),
-                    clon.tolist(),
-                    clat.tolist(),
-                    created.tolist(),
-                    accepted.tolist(),
-                    pickup.tolist(),
-                    delivered.tolist(),
-                    distance.tolist(),
-                    stype.tolist(),
-                )
-            )
-        ]
-        return records
+        table = OrderTable(
+            {
+                "store_index": gidx,
+                "store_region": sregs,
+                "customer_region": creg,
+                "store_type": stype,
+                "cust_tag": creg,
+                "cust_serial": draws["cust"],
+                "courier_num": self._courier_numbers_for(sregs, draws["cour"]),
+                "customer_lon": clon,
+                "customer_lat": clat,
+                "created_minute": cols["created"],
+                "accepted_minute": cols["accepted"],
+                "pickup_minute": cols["pickup"],
+                "delivered_minute": cols["delivered"],
+                "distance_m": cols["distance"],
+            },
+            self.store_registry(),
+        )
+        return table.records_view()
 
     def _make_order(
         self,

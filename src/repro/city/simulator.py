@@ -62,8 +62,9 @@ class SimulationResult:
     def order_table(self) -> Optional[OrderTable]:
         """The columnar order log, when the orders are an ``OrderRecordSeq``.
 
-        ``None`` when the orders are a materialised record list (reference
-        paths, ``O2_ORDER_TABLE=0``, agent-dispatch re-stamping).
+        Both order generators emit one.  ``None`` when the orders are a
+        materialised record list: agent-dispatch re-stamping, or the
+        per-order reference oracles that tests patch in.
         """
         return getattr(self.orders, "table", None)
 
@@ -196,15 +197,15 @@ def _resynthesize_customer_locations(
     direction (clamped to the city).  This scrambles the customer-region
     signal exactly the way their synthesis does.
     """
-    from .fastsim import fast_sim_enabled
-
     grid = sim.land.grid
     max_x = grid.cols * grid.cell_size
     max_y = grid.rows * grid.cell_size
     table = sim.order_table
     if table is not None:
-        # Columnar twin of the fast path below: same draws, same arithmetic,
-        # but reading/writing table columns instead of record fields.  The
+        # Columnar twin of the record loop below: the same draws (one
+        # ``rng.random()`` per order equals ``rng.random(n)``), the same
+        # arithmetic elementwise, and ``region_of_point``'s clamp, but
+        # reading/writing table columns instead of record fields.  The
         # customer_id (cust_tag/cust_serial) survives unchanged, exactly as
         # ``replace`` keeps it on the record path.
         si = table.column("store_index")
@@ -224,32 +225,6 @@ def _resynthesize_customer_locations(
             customer_lat=lat,
             customer_region=region.astype(np.int32),
         ).records_view()
-    if fast_sim_enabled():
-        orders = sim.orders
-        slon = np.array([o.store_lon for o in orders])
-        slat = np.array([o.store_lat for o in orders])
-        dist = np.array([o.distance_m for o in orders])
-        sx, sy = grid.from_lonlat(slon, slat)
-        # angle = rng.random() * 2 * np.pi, one scalar draw per order.
-        angle = rng.random(len(orders)) * 2 * np.pi
-        cx = np.clip(sx + dist * np.cos(angle), 0, max_x - 1)
-        cy = np.clip(sy + dist * np.sin(angle), 0, max_y - 1)
-        lon, lat = grid.to_lonlat(cx, cy)
-        # region_of_point, columnar (same clamp semantics).
-        col = np.clip(cx // grid.cell_size, 0, grid.cols - 1).astype(np.int64)
-        row = np.clip(cy // grid.cell_size, 0, grid.rows - 1).astype(np.int64)
-        region = row * grid.cols + col
-        return [
-            replace(
-                order,
-                customer_lon=lo,
-                customer_lat=la,
-                customer_region=rg,
-            )
-            for order, lo, la, rg in zip(
-                orders, lon.tolist(), lat.tolist(), region.tolist()
-            )
-        ]
     rewritten = []
     for order in sim.orders:
         sx, sy = grid.from_lonlat(order.store_lon, order.store_lat)

@@ -46,7 +46,6 @@ from ..data.periods import NUM_PERIODS, TimePeriod
 from ..data.records import MINUTES_PER_DAY
 from ..graphs.partition import GridTilePartition, partition_grid
 from ..parallel import num_procs, process_map
-from .fastsim import order_table_enabled
 
 __all__ = ["TILE_TARGET_REGIONS", "generate_tiled", "tile_layout"]
 
@@ -313,7 +312,6 @@ def generate_tiled(gen):
 
     # Warm the shared lookups in the parent so forked workers inherit them.
     registry = gen.store_registry()
-    _, pool_sizes = gen._courier_pools()
     ctx = _TileContext(
         gen=gen,
         partition=part,
@@ -321,7 +319,7 @@ def generate_tiled(gen):
         day_factors=day_factors,
         store_x=np.array([s.x for s in gen.stores]),
         store_y=np.array([s.y for s in gen.stores]),
-        pool_sizes=np.array(pool_sizes, dtype=np.int64),
+        pool_sizes=np.array(gen._courier_pool_sizes(), dtype=np.int64),
         period_start=np.array(
             [TimePeriod(t).hours[0] for t in range(NUM_PERIODS)], dtype=np.int64
         ),
@@ -353,8 +351,7 @@ def generate_tiled(gen):
             )
     finally:
         _TILE_CTX = None
-    view = table.records_view()
-    return view if order_table_enabled() else list(view)
+    return table.records_view()
 
 
 def _pool_usable(num_tiles: int) -> bool:

@@ -64,8 +64,7 @@ def env_flag(name: str, default: bool = True) -> bool:
 def env_int(name: str, default: int) -> int:
     """Parse the integer env knob ``name``; malformed values fall back.
 
-    Accepts float spellings (``O2_POOL_MAX_MB=0.5``) by truncation, matching
-    the historical pool-threshold parser.
+    Accepts float spellings (``O2_SHARD_MIN_REGIONS=4e3``) by truncation.
     """
     raw = os.environ.get(name, "")
     try:

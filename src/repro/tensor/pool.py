@@ -39,14 +39,15 @@ Design
   and dropping the autograd tape (see ``Tensor.backward(free_graph=True)``)
   releases its buffers immediately, with no explicit bookkeeping at the
   call sites.
-* **Thresholds.**  Requests below ``O2_POOL_MIN_BYTES`` (default 4 KiB)
-  bypass the pool -- for small arrays ``np.empty`` is cheaper than the
-  bookkeeping.  Idle (free-listed) memory is capped at ``O2_POOL_MAX_MB``
-  (default 512); recycled buffers beyond the cap are dropped.  Blocks
-  whose size class has fallen out of use (e.g. after a batch-size change)
-  are trimmed generationally: any block idle for more than
-  ``O2_POOL_TRIM_AGE`` borrows (default 4096) is released on the next
-  sweep, so a workload shift does not leave a dead reservoir pinned.
+* **Thresholds.**  Requests below ``_MIN_BYTES`` (4 KiB) bypass the
+  pool -- for small arrays ``np.empty`` is cheaper than the bookkeeping.
+  Idle (free-listed) memory is capped at ``_MAX_IDLE_BYTES`` (512 MB);
+  recycled buffers beyond the cap are dropped.  Blocks whose size class
+  has fallen out of use (e.g. after a batch-size change) are trimmed
+  generationally: any block idle for more than ``_TRIM_AGE`` borrows
+  (4096) is released on the next sweep, so a workload shift does not
+  leave a dead reservoir pinned.  All three are module constants; a
+  :class:`BufferPool` built by hand can override each one.
   Misses additionally *reclaim before growing*: when no block of the
   requested size is idle, the pool frees stale idle blocks (oldest first,
   sparing anything recycled within the last few hundred borrows) to cover
@@ -86,9 +87,9 @@ __all__ = [
 ]
 
 
-_MIN_BYTES = _runtime.env_int("O2_POOL_MIN_BYTES", 4096)
-_MAX_IDLE_BYTES = _runtime.env_int("O2_POOL_MAX_MB", 512) * (1 << 20)
-_TRIM_AGE = _runtime.env_int("O2_POOL_TRIM_AGE", 4096)
+_MIN_BYTES = 4096  # smaller requests bypass the pool
+_MAX_IDLE_BYTES = 512 * (1 << 20)  # cap on free-listed bytes
+_TRIM_AGE = 4096  # borrows a block may sit idle before a sweep drops it
 _TRIM_EVERY = 256  # recycles between trim sweeps
 _RECLAIM_GUARD = 2048  # borrows a block must sit idle before reclaim-on-miss:
 # larger than one training step's borrow span, so the cycling working set

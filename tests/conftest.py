@@ -7,6 +7,7 @@ session scope is safe; tests must not mutate these objects.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 import shutil
 import tempfile
@@ -25,6 +26,8 @@ os.environ.setdefault("O2_PIPELINE_CACHE", _TEST_CACHE_DIR)
 atexit.register(shutil.rmtree, _TEST_CACHE_DIR, ignore_errors=True)
 
 from repro.city import CityConfig, simulate, tiny_dataset
+from repro.city.dispatch import DispatchSimulator
+from repro.city.orders import OrderGenerator
 from repro.data import SiteRecDataset
 
 
@@ -118,5 +121,30 @@ def per_period_reference(monkeypatch):
 
         monkeypatch.setattr(recommender, "_propagate_batched", stacked)
         return model
+
+    return route
+
+
+@pytest.fixture(scope="session")
+def reference_orders():
+    """``with reference_orders(): ...`` simulates on the per-order oracles.
+
+    Order generation runs ``OrderGenerator.generate_reference`` and agent
+    dispatch ``DispatchSimulator.run_reference`` in place of the fast
+    paths.  The pipeline cache is off inside the block, so a cached
+    fast-path log cannot stand in for the oracle's.
+    """
+
+    @contextlib.contextmanager
+    def route():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                OrderGenerator, "generate", OrderGenerator.generate_reference
+            )
+            patch.setattr(
+                DispatchSimulator, "run", DispatchSimulator.run_reference
+            )
+            patch.setenv("O2_PIPELINE_CACHE", "0")
+            yield
 
     return route

@@ -1,26 +1,29 @@
 """The vectorised simulation path must be bit-for-bit the reference.
 
-``O2_FAST_SIM=1`` is a *reformulation* of the order generator and
-dispatcher, not an approximation: every test here asserts exact equality
-of the emitted records, not closeness.  The RNG-equivalence pins at the
-bottom document the numpy stream identities the columnar rewrite leans
-on -- if a numpy upgrade ever breaks one of them, these fail first and
-point at the exact identity that changed.
+The columnar order generator and the hoisted dispatch loop are a
+*reformulation* of the per-order oracles (``OrderGenerator
+.generate_reference``, ``DispatchSimulator.run_reference``), not an
+approximation: every test here asserts exact equality of the emitted
+records, not closeness.  The RNG-equivalence pins at the bottom document
+the numpy stream identities the columnar rewrite leans on -- if a numpy
+upgrade ever breaks one of them, these fail first and point at the exact
+identity that changed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.city import CityConfig
 from repro.city.couriers import build_fleet
-from repro.city.fastsim import fast_sim_enabled, set_fast_sim, use_fast_sim
+from repro.city.dispatch import DispatchSimulator
 from repro.city.landuse import synthesize_land_use
 from repro.city.simulator import (
+    simulate,
     simulate_uncached,
     simulation_config,
 )
+from repro.data.ordertable import OrderRecordSeq
 from repro.data.periods import NUM_PERIODS, TimePeriod
 
 
@@ -33,48 +36,49 @@ def _tiny_config(**overrides) -> CityConfig:
     return CityConfig(**base)
 
 
-def _run_both(config: CityConfig):
-    with use_fast_sim(False):
+def _run_both(config: CityConfig, reference_orders):
+    with reference_orders():
         ref = simulate_uncached(config)
-    with use_fast_sim(True):
-        fast = simulate_uncached(config)
+    fast = simulate_uncached(config)
     return ref, fast
 
 
-def test_flag_toggling():
-    previous = set_fast_sim(True)
-    try:
-        assert fast_sim_enabled()
-        with use_fast_sim(False):
-            assert not fast_sim_enabled()
-        assert fast_sim_enabled()
-    finally:
-        set_fast_sim(previous)
+def test_reference_fixture_routes_to_the_oracle(reference_orders):
+    # Warm the pipeline cache first: inside the fixture a cached fast-path
+    # log must not stand in for the oracle's record list.
+    config = _tiny_config(num_days=2, seed=21)
+    simulate(config)
+    with reference_orders():
+        ref = simulate(config)
+        assert DispatchSimulator.run is DispatchSimulator.run_reference
+    assert type(ref.orders) is list
+    assert isinstance(simulate(config).orders, OrderRecordSeq)
+    assert DispatchSimulator.run is not DispatchSimulator.run_reference
 
 
-def test_formula_mode_records_identical():
-    ref, fast = _run_both(_tiny_config())
+def test_formula_mode_records_identical(reference_orders):
+    ref, fast = _run_both(_tiny_config(), reference_orders)
     assert len(ref.orders) > 0
     assert ref.orders == fast.orders
 
 
-def test_agents_dispatch_records_identical():
-    ref, fast = _run_both(_tiny_config(dispatch_mode="agents"))
+def test_agents_dispatch_records_identical(reference_orders):
+    ref, fast = _run_both(_tiny_config(dispatch_mode="agents"), reference_orders)
     assert len(ref.orders) > 0
     assert ref.orders == fast.orders
 
 
-def test_observation_noise_records_identical():
+def test_observation_noise_records_identical(reference_orders):
     # The sim preset's distinguishing knobs: recorded-time noise plus
     # customer re-synthesis happen on separate RNG streams; cover the
     # noisy generator branch here.
     config = _tiny_config(observation_noise=0.35, demand_noise=0.5)
-    ref, fast = _run_both(config)
+    ref, fast = _run_both(config, reference_orders)
     assert len(ref.orders) > 0
     assert ref.orders == fast.orders
 
 
-def test_simulation_preset_identical(monkeypatch):
+def test_simulation_preset_identical(monkeypatch, reference_orders):
     # simulation_dataset() routes through simulate() (cache-aware): turn
     # the cache off so both runs genuinely re-simulate.
     monkeypatch.setenv("O2_PIPELINE_CACHE", "0")
@@ -82,10 +86,10 @@ def test_simulation_preset_identical(monkeypatch):
 
     config = simulation_config(seed=11, scale=0.4)
     assert config.observation_noise > 0  # the branch worth covering
-    with use_fast_sim(False):
+    with reference_orders():
         ref = simulation_dataset(seed=11, scale=0.4)
-    with use_fast_sim(True):
-        fast = simulation_dataset(seed=11, scale=0.4)
+    fast = simulation_dataset(seed=11, scale=0.4)
+    assert type(ref.orders) is list  # re-synthesised by the record loop
     assert ref.orders == fast.orders
 
 
@@ -95,9 +99,8 @@ def test_congestion_and_scope_matrices_match_reference():
     land = synthesize_land_use(config, rng)
     fleet = build_fleet(config, land, rng)
 
-    with use_fast_sim(True):
-        congestion = fleet.congestion_matrix()
-        scope = fleet.scope_matrix()
+    congestion = fleet.congestion_matrix()
+    scope = fleet.scope_matrix()
     reference_congestion = np.array(
         [
             [fleet.congestion(r, TimePeriod(t)) for t in range(NUM_PERIODS)]

@@ -1,11 +1,11 @@
 """Columnar order log (``OrderTable``): view semantics and bit-identity.
 
 The struct-of-arrays order representation must be indistinguishable from
-the ``List[OrderRecord]`` it replaces: records materialised from the table
-compare equal field-for-field, every downstream artifact (aggregates,
-dataset features, graphs, a trained model) is *identical* -- not close --
-across the ``O2_ORDER_TABLE`` ablation, and the cache round-trips columns
-without touching a single record object.
+the ``List[OrderRecord]`` the per-order reference oracle builds: records
+materialised from the table compare equal field-for-field, every
+downstream artifact (aggregates, dataset features, graphs, a trained model)
+is *identical* -- not close -- between the two, and the cache round-trips
+columns without touching a single record object.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.city import CityConfig
-from repro.city.fastsim import use_fast_sim, use_order_table
 from repro.city.simulator import simulate_uncached
 from repro.core import O2SiteRec, O2SiteRecConfig, TrainConfig, Trainer
 from repro.data.aggregates import OrderAggregates
@@ -36,12 +35,12 @@ def _config(**overrides) -> CityConfig:
 
 
 @pytest.fixture(scope="module")
-def both_sims():
-    """The same city simulated as a record list and as a columnar table."""
-    with use_order_table(False):
+def both_sims(reference_orders):
+    """The same city: the oracle's record list and the columnar table."""
+    with reference_orders():
         listed = simulate_uncached(_config())
-    with use_order_table(True):
-        columnar = simulate_uncached(_config())
+    columnar = simulate_uncached(_config())
+    assert type(listed.orders) is list
     return listed, columnar
 
 
@@ -181,19 +180,9 @@ class TestDownstreamIdentity:
 
 
 class TestResynthesis:
-    def test_observation_noise_table_matches_list(self):
+    def test_observation_noise_table_matches_list(self, reference_orders):
         config = _config(observation_noise=0.3, seed=9)
-        with use_order_table(False):
+        with reference_orders():
             listed = simulate_uncached(config)
-        with use_order_table(True):
-            columnar = simulate_uncached(config)
+        columnar = simulate_uncached(config)
         assert columnar.orders == listed.orders
-
-    def test_reference_loop_matches_table(self):
-        """O2_FAST_SIM=0 x O2_ORDER_TABLE=1: reference records == view."""
-        config = _config(seed=13)
-        with use_fast_sim(False):
-            ref = simulate_uncached(config)
-        with use_fast_sim(True), use_order_table(True):
-            fast = simulate_uncached(config)
-        assert fast.orders == ref.orders

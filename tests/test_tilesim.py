@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.city import CityConfig
-from repro.city.fastsim import use_order_table
 from repro.city.simulator import megacity_config, simulate_uncached
 from repro.city.tilesim import TILE_TARGET_REGIONS, tile_layout
 from repro.data.cache import cache_key
@@ -87,15 +86,6 @@ class TestRecords:
         regions = sim.orders.table.column("customer_region")
         assert regions.min() >= 0
         assert regions.max() < sim.land.num_regions
-
-    def test_order_table_flag_off_materialises_list(self):
-        config = _tiled_config(num_days=1)
-        with use_order_table(True):
-            view = simulate_uncached(config).orders
-        with use_order_table(False):
-            listed = simulate_uncached(config).orders
-        assert isinstance(listed, list)
-        assert view == listed
 
     def test_observation_noise_supported(self):
         sim = simulate_uncached(_tiled_config(observation_noise=0.3, num_days=1))
