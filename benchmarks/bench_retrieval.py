@@ -210,17 +210,15 @@ def run_recall_leg(args) -> dict:
 def run_latency_leg(args) -> dict:
     """Single-query latency/QPS: exact full scan vs retrieve-then-rank.
 
-    Caching and micro-batch windows are disabled so every query pays the
-    real scoring cost -- this measures the planes, not the cache.
+    Caching is disabled so every query pays the real scoring cost -- this
+    measures the planes, not the cache.
     """
     import numpy as np
 
     from repro.serve import ModelSnapshot, RecommendationService
 
     leg_dir = Path(args.dir)
-    service_kwargs = dict(
-        cache_entries=0, batch_window_ms=0.0, num_workers=1, default_k=QUERY_K
-    )
+    service_kwargs = dict(cache_entries=0, default_k=QUERY_K)
 
     def measure(service, reps):
         latencies = [0.0] * reps

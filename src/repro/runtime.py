@@ -29,12 +29,22 @@ not call it.
 The tuning is best-effort: on non-glibc platforms (musl, macOS, Windows)
 ``mallopt`` is absent or a no-op and the function reports ``False``.  Set
 ``O2_MALLOC_TUNE=0`` to disable it entirely.
+
+:func:`limit_blas_threads` caps the thread count of the OpenBLAS numpy
+loaded.  OpenBLAS helper threads keep spinning for a while after each
+call, so a serving worker that scores one small matmul every few
+milliseconds burns a second core doing nothing, and several workers on
+one host oversubscribe its cores; :mod:`repro.serve.workers` gives each
+worker of a multi-worker pool its share of the CPUs.  It is fail-soft in
+the same way: ``False`` when numpy's BLAS is not an OpenBLAS it can find.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+from pathlib import Path
+from typing import Callable, List, Optional, Tuple
 
 __all__ = [
     "env_flag",
@@ -43,6 +53,7 @@ __all__ = [
     "env_str",
     "tune_allocator",
     "allocator_tuned",
+    "limit_blas_threads",
 ]
 
 # One truthiness convention for every O2_* switch: anything except an
@@ -176,3 +187,69 @@ def tune_allocator(
     if ok:
         _tuned = want
     return bool(ok)
+
+
+# (set, get) thread-count symbols, one pair per OpenBLAS build: the
+# scipy-openblas64 that numpy wheels bundle, an ILP64 build with the
+# symbol suffix, and the plain build.  set takes a C int; get returns one.
+# scipy wheels load a second, LP64 copy (``scipy_openblas_*`` without the
+# suffix) that numpy does not call; it is left out on purpose.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_libraries() -> List[str]:
+    """Paths of the OpenBLAS libraries numpy loaded into this process.
+
+    Read from ``/proc/self/maps``; empty where that does not exist.
+    """
+    import numpy  # noqa: F401 -- imported to load its BLAS
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return []
+    return sorted(p for p in paths if "openblas" in Path(p).name.lower())
+
+
+def _openblas_thread_calls() -> Optional[Tuple[Callable, Callable]]:
+    """(set, get) thread-count functions of numpy's OpenBLAS, or None."""
+    for path in _openblas_libraries():
+        try:
+            lib = ctypes.CDLL(path)  # the loaded copy: same handle, no reload
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            try:
+                set_threads = getattr(lib, set_name)
+                get_threads = getattr(lib, get_name)
+            except AttributeError:
+                continue
+            set_threads.argtypes = (ctypes.c_int,)
+            set_threads.restype = None
+            get_threads.argtypes = ()
+            get_threads.restype = ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+def limit_blas_threads(limit: int) -> bool:
+    """Lower numpy's OpenBLAS thread count to at most ``limit`` (>= 1).
+
+    Never raises the count.  Returns ``True`` when the count is now at
+    most ``limit`` and ``False`` when no loaded OpenBLAS exports a known
+    thread-count symbol (numpy on MKL or Accelerate, or a platform
+    without ``/proc/self/maps``), in which case nothing changes.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        return False
+    set_threads, get_threads = calls
+    limit = max(1, int(limit))
+    if get_threads() > limit:
+        set_threads(limit)
+    return True

@@ -1,5 +1,6 @@
-"""Online serving for O2-SiteRec: precomputed embeddings, micro-batching,
-hot-swappable snapshots, and a scale-out multi-process plane.
+"""Online serving for O2-SiteRec: precomputed embeddings, caller-runs
+micro-batching, hot-swappable snapshots, and a scale-out multi-process
+plane.
 
 The training-side model re-runs the full multi-graph propagation on every
 ``predict`` call; this package separates the expensive, query-independent
@@ -18,11 +19,14 @@ representation building from the cheap per-request scoring:
 * :class:`RecommendationService` -- top-k query API with candidate
   filters, retrieve-then-rank when the snapshot carries an index
   (``O2_SERVE_INDEX`` / ``--index``), an LRU+TTL score cache, a
-  micro-batching request queue and atomic snapshot hot swap
+  caller-runs :class:`MicroBatcher` (a cache miss scores on the calling
+  thread at once; callers arriving during a pass share the next one, and
+  no batching thread exists) and atomic snapshot hot swap
   (``service.reload``).
 * :class:`~repro.serve.workers.WorkerPool` -- pre-forked multi-process
   HTTP serving (``O2_SERVE_PROCS``): ``SO_REUSEPORT`` load balancing with
-  a fail-soft inherited-socket fallback, shared-memory fleet metrics, and
+  a fail-soft inherited-socket fallback, each worker's BLAS threads
+  capped at its share of the CPUs, shared-memory fleet metrics, and
   manifest-driven fleet-wide hot swap.
 * ``python -m repro.serve`` -- loads a checkpoint or snapshot and serves
   a line-protocol loop or the HTTP API (``--procs N`` scales out);

@@ -99,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--once", default=None, metavar="COMMAND")
     parser.add_argument("--default-k", type=int, default=3)
     parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--batch-window-ms", type=float, default=2.0)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--cache-entries", type=int, default=512)
     parser.add_argument("--cache-ttl-s", type=float, default=300.0)
     parser.add_argument(
@@ -290,8 +288,6 @@ def main(argv=None) -> int:
             service_kwargs={
                 "default_k": args.default_k,
                 "max_batch_size": args.max_batch_size,
-                "batch_window_ms": args.batch_window_ms,
-                "num_workers": args.workers,
                 "cache_entries": args.cache_entries,
                 "cache_ttl_s": args.cache_ttl_s,
                 **_index_kwargs(args),
@@ -331,8 +327,6 @@ def main(argv=None) -> int:
         snapshot,
         default_k=args.default_k,
         max_batch_size=args.max_batch_size,
-        batch_window_ms=args.batch_window_ms,
-        num_workers=args.workers,
         cache_entries=args.cache_entries,
         cache_ttl_s=args.cache_ttl_s,
         **_index_kwargs(args),

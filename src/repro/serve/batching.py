@@ -1,44 +1,54 @@
-"""Micro-batching request queue for the recommendation service.
+"""Caller-runs micro-batching for the recommendation service.
 
-Concurrent callers submit (region, type) pair blocks and receive futures.
-Worker threads drain the queue: the first request opens a batch, then the
-worker keeps collecting until either ``max_batch_size`` requests are in
-hand or ``batch_window_s`` has elapsed, concatenates everything into one
-pair array, runs a single vectorised scoring pass, and splits the scores
-back out to each caller's future.  Under concurrent load this turns N
-per-request scoring passes into one, which is where the throughput of
-``repro.serve`` comes from (numpy also releases the GIL inside the large
-matmuls, so workers overlap with callers).
+Concurrent callers hand (region, type) pair blocks to
+:meth:`MicroBatcher.score`, and the batcher runs no thread of its own.  A
+caller that finds no scoring pass running becomes the *leader*: it takes
+every queued request (its own included, up to ``max_batch_size``),
+concatenates them into one pair array, runs a single vectorised scoring
+pass on its own thread and splits the scores back out.  Callers that
+arrive during a pass queue up and wait on a condition; the next pass --
+run by the current leader if its own request is still queued, otherwise
+by one of the waiters -- takes them all at once.  Under concurrent load N
+per-request passes still merge into one, and an idle service never
+waits: a request that finds the batcher free is scored at once, with no
+window to sit out.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from concurrent.futures import Future
-from typing import Callable, List, Optional
+from collections import deque
+from typing import Callable, Deque, List, Optional
 
 import numpy as np
 
-_SENTINEL = object()
-
 
 class _Request:
-    __slots__ = ("pairs", "future", "enqueued_at")
+    __slots__ = ("pairs", "arrived", "scores", "error", "done")
 
-    def __init__(self, pairs: np.ndarray, enqueued_at: float) -> None:
+    def __init__(self, pairs: np.ndarray) -> None:
         self.pairs = pairs
-        self.future: "Future[np.ndarray]" = Future()
-        self.enqueued_at = enqueued_at
+        self.arrived = time.monotonic()
+        self.scores: Optional[np.ndarray] = None
+        self.error: Optional[BaseException] = None
+        self.done = False  # guarded by the batcher's condition
+
+    def result(self) -> np.ndarray:
+        if self.error is not None:
+            raise self.error
+        return self.scores
 
 
 class MicroBatcher:
-    """Batches concurrent scoring requests into shared vectorised passes.
+    """Merges concurrent scoring requests into shared vectorised passes.
 
-    ``score_fn`` maps a ``(K, 2)`` pair array to ``(K,)`` scores.  Metrics
-    (optional) receive per-stage latencies (``queue``, ``score``) and the
-    counters ``batches`` / ``batched_requests`` / ``batched_pairs``.
+    ``score_fn`` maps a ``(K, 2)`` pair array to ``(K,)`` scores and runs
+    on the calling thread of whichever caller leads the pass.  Metrics
+    (optional) receive per-stage latencies -- ``queue`` (arrival to the
+    start of the pass that scored the request) and ``score`` (one sample
+    per pass) -- and the counters ``batches`` / ``batched_requests`` /
+    ``batched_pairs``.
     """
 
     def __init__(
@@ -46,115 +56,109 @@ class MicroBatcher:
         score_fn: Callable[[np.ndarray], np.ndarray],
         *,
         max_batch_size: int = 32,
-        batch_window_s: float = 0.002,
-        num_workers: int = 1,
         metrics=None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         self._score_fn = score_fn
         self.max_batch_size = max_batch_size
-        self.batch_window_s = batch_window_s
         self._metrics = metrics
-        self._queue: "queue.Queue" = queue.Queue()
+        self._cond = threading.Condition()
+        self._queue: Deque[_Request] = deque()
+        self._leading = False  # a caller is running passes
         self._closed = False
-        self._workers = [
-            threading.Thread(
-                target=self._run, name=f"repro-serve-worker-{i}", daemon=True
-            )
-            for i in range(num_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
 
     # ------------------------------------------------------------------
-    def submit(self, pairs: np.ndarray) -> "Future[np.ndarray]":
-        """Enqueue a pair block; the future resolves to its score vector."""
-        if self._closed:
-            raise RuntimeError("MicroBatcher is closed")
-        request = _Request(
-            np.asarray(pairs, dtype=np.int64), time.monotonic()
-        )
-        self._queue.put(request)
-        return request.future
-
     def score(self, pairs: np.ndarray, timeout: Optional[float] = None) -> np.ndarray:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(pairs).result(timeout=timeout)
+        """Score one pair block, merged with whatever else is queued.
+
+        ``timeout`` bounds how long the call waits for another caller's
+        pass; it raises :class:`TimeoutError` when that runs out (a
+        caller leading passes itself is bounded by their work instead).
+        """
+        request = _Request(np.asarray(pairs, dtype=np.int64))
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("MicroBatcher is closed")
+            self._queue.append(request)
+            if not self._cond.wait_for(
+                lambda: request.done or not self._leading, timeout
+            ):
+                try:
+                    self._queue.remove(request)
+                except ValueError:
+                    pass  # a pass holds it; its scores go unread
+                raise TimeoutError(
+                    f"no scoring pass took the request within {timeout} s"
+                )
+            if request.done:
+                return request.result()
+            self._leading = True
+        self._lead(request)
+        return request.result()
+
+    def _lead(self, own: _Request) -> None:
+        """Run passes over the queue head until ``own`` is scored.
+
+        The queue can hold more than ``max_batch_size`` requests, so the
+        leader may run several passes; ``own`` is always still queued
+        here (only a leader takes requests, and there is one at a time).
+        """
+        batch: List[_Request] = []
+        try:
+            while not own.done:
+                with self._cond:
+                    take = min(len(self._queue), self.max_batch_size)
+                    batch = [self._queue.popleft() for _ in range(take)]
+                self._run_pass(batch)
+                with self._cond:
+                    for request in batch:
+                        request.done = True
+                    batch = []
+                    self._cond.notify_all()
+        finally:
+            with self._cond:
+                for request in batch:  # a pass cut short by an interrupt
+                    request.error = RuntimeError("scoring pass interrupted")
+                    request.done = True
+                self._leading = False
+                self._cond.notify_all()
+
+    def _run_pass(self, batch: List[_Request]) -> None:
+        """One vectorised pass; fills in each request's scores or error."""
+        started = time.monotonic()
+        if self._metrics is not None:
+            for request in batch:
+                self._metrics.observe("queue", started - request.arrived)
+        try:
+            pairs = (
+                batch[0].pairs
+                if len(batch) == 1
+                else np.concatenate([r.pairs for r in batch], axis=0)
+            )
+            scores = np.asarray(self._score_fn(pairs))
+        except Exception as exc:  # fails every caller of this pass
+            for request in batch:
+                request.error = exc
+            return
+        if self._metrics is not None:
+            self._metrics.observe("score", time.monotonic() - started)
+            self._metrics.increment("batches")
+            self._metrics.increment("batched_requests", len(batch))
+            self._metrics.increment("batched_pairs", len(pairs))
+        offset = 0
+        for request in batch:
+            n = len(request.pairs)
+            request.scores = scores[offset:offset + n]
+            offset += n
 
     def close(self) -> None:
-        """Stop the workers after the queue drains."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._workers:
-            self._queue.put(_SENTINEL)
-        for worker in self._workers:
-            worker.join()
+        """Refuse later calls; passes already running finish normally."""
+        with self._cond:
+            self._closed = True
 
     def __enter__(self) -> "MicroBatcher":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    def _collect(self, first: "_Request") -> List["_Request"]:
-        """Gather a batch starting from ``first`` (window + size caps)."""
-        batch = [first]
-        deadline = time.monotonic() + self.batch_window_s
-        while len(batch) < self.max_batch_size:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SENTINEL:
-                # Not ours to consume mid-batch: hand it back for the
-                # outer loop (possibly of another worker).
-                self._queue.put(_SENTINEL)
-                break
-            batch.append(item)
-        return batch
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SENTINEL:
-                return
-            batch = self._collect(item)
-            started = time.monotonic()
-            if self._metrics is not None:
-                for request in batch:
-                    self._metrics.observe(
-                        "queue", started - request.enqueued_at
-                    )
-            pairs = (
-                batch[0].pairs
-                if len(batch) == 1
-                else np.concatenate([r.pairs for r in batch], axis=0)
-            )
-            try:
-                scores = np.asarray(self._score_fn(pairs))
-            except Exception as exc:  # propagate to every caller
-                for request in batch:
-                    request.future.set_exception(exc)
-                continue
-            elapsed = time.monotonic() - started
-            if self._metrics is not None:
-                self._metrics.observe("score", elapsed)
-                self._metrics.increment("batches")
-                self._metrics.increment("batched_requests", len(batch))
-                self._metrics.increment("batched_pairs", len(pairs))
-            offset = 0
-            for request in batch:
-                n = len(request.pairs)
-                request.future.set_result(scores[offset:offset + n])
-                offset += n

@@ -11,8 +11,9 @@ and answers top-k site queries:
   explicitly supplied candidates always take the exact path);
 * scores come from an LRU+TTL :class:`~repro.serve.cache.ScoreCache` when a
   (snapshot, type, candidate-set) combination repeats, otherwise from the
-  :class:`~repro.serve.batching.MicroBatcher`, which merges concurrent
-  callers into one vectorised scoring pass;
+  :class:`~repro.serve.batching.MicroBatcher`, which scores a miss on the
+  calling thread at once and merges callers that arrive during a pass
+  into the next one (the service starts no thread of its own);
 * :meth:`reload` atomically swaps in a new snapshot -- the swap is one
   reference assignment, a query whose scoring pass straddles it retries
   against the new generation (so every response ranks with ONE
@@ -110,8 +111,6 @@ class RecommendationService:
         default_k: int = 3,
         per_type_k: Optional[Dict[int, int]] = None,
         max_batch_size: int = 32,
-        batch_window_ms: float = 2.0,
-        num_workers: int = 2,
         cache_entries: int = 512,
         cache_ttl_s: float = 300.0,
         query_timeout_s: float = 30.0,
@@ -139,8 +138,6 @@ class RecommendationService:
         self._batcher = MicroBatcher(
             self._score_batch,
             max_batch_size=max_batch_size,
-            batch_window_s=batch_window_ms / 1e3,
-            num_workers=num_workers,
             metrics=self.metrics,
         )
         self._closed = False
@@ -421,10 +418,7 @@ class RecommendationService:
             "periods": deployed.num_periods,
             "embedding_dim": deployed.embedding_dim,
         }
-        report["batching"] = {
-            "max_batch_size": self._batcher.max_batch_size,
-            "batch_window_ms": self._batcher.batch_window_s * 1e3,
-        }
+        report["batching"] = {"max_batch_size": self._batcher.max_batch_size}
         # Why grid-tile sharding is (not) engaged in this process: surfaced
         # here so operators can tell a deliberate dense run from a silently
         # missed gate (e.g. reference kernels forced on, grid too small).
@@ -450,7 +444,7 @@ class RecommendationService:
         return report
 
     def close(self) -> None:
-        """Drain and stop the worker threads."""
+        """Refuse later queries; queries already running finish normally."""
         if not self._closed:
             self._closed = True
             self._batcher.close()

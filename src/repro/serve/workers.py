@@ -6,6 +6,9 @@ matmuls.  ``WorkerPool`` scales the serving plane out instead of up:
 
 * **N pre-forked workers**, each a full :class:`RecommendationService`
   (own micro-batcher, own score cache) behind the shared listen port.
+  Each worker of a multi-worker pool caps numpy's OpenBLAS threads at
+  its share of the CPUs (:func:`repro.runtime.limit_blas_threads`), so
+  the fleet does not oversubscribe the host's cores.
   Where the platform supports it every worker binds the port itself with
   ``SO_REUSEPORT`` and the kernel load-balances connections; elsewhere the
   pool fails soft to the classic pre-fork model -- the parent binds and
@@ -45,6 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..parallel import num_serve_procs
+from ..runtime import limit_blas_threads
 from .metrics import BUCKET_BOUNDS, ServiceMetrics
 from .protocol import make_http_handler
 from .service import RecommendationService
@@ -314,8 +318,16 @@ def reuseport_available() -> bool:
 # ----------------------------------------------------------------------
 # Worker process entry point
 # ----------------------------------------------------------------------
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity mask where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_main(
     worker_index: int,
+    procs: int,
     snapshot_path: str,
     host: str,
     port: int,
@@ -328,6 +340,13 @@ def _worker_main(
     listen_sock: Optional[socket.socket],
 ) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent coordinates
+    if procs > 1:
+        # Each worker gets its share of the cores for BLAS: an OpenBLAS
+        # helper thread spins on after every scoring matmul, so N workers
+        # at the default count oversubscribe the host.  Passes of up to
+        # ~12k pairs scored the same bytes at 1 and 2 threads on a
+        # 4,579-region arena; a larger pass can differ in the last ulp.
+        limit_blas_threads(max(1, _cpus() // procs))
 
     boot_path = snapshot_path
     seen_version = 0
@@ -468,6 +487,7 @@ class WorkerPool:
                 target=_worker_main,
                 args=(
                     i,
+                    self.procs,
                     self.snapshot_path,
                     self.host,
                     self.port,

@@ -1,7 +1,9 @@
 """The online serving layer: snapshots, cache, batching, service, protocol."""
 
 import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -42,9 +44,7 @@ def snapshot(served_model):
 
 @pytest.fixture()
 def service(snapshot):
-    svc = RecommendationService(
-        snapshot, max_batch_size=16, batch_window_ms=1.0, num_workers=2
-    )
+    svc = RecommendationService(snapshot, max_batch_size=16)
     yield svc
     svc.close()
 
@@ -175,39 +175,219 @@ class TestMetrics:
         assert "score" in report["latency"]
 
 
+def _keyed(pairs):
+    """A score that is a pure function of each pair, so rows are checkable."""
+    return pairs[:, 0] * 1000 + pairs[:, 1]
+
+
+class _HeldPass:
+    """Wraps a score_fn so the first pass blocks until ``released`` is set:
+    callers arriving meanwhile queue up behind it."""
+
+    def __init__(self, score_fn):
+        self.score_fn = score_fn
+        self.entered = threading.Event()
+        self.released = threading.Event()
+        self.passes = 0  # one leader at a time, so no lock needed
+
+    def __call__(self, pairs):
+        self.passes += 1
+        if self.passes == 1:
+            self.entered.set()
+            assert self.released.wait(10)
+        return self.score_fn(pairs)
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.001)
+
+
+def _start_held_pass(batcher, held, block):
+    """Start a caller whose pass ``held`` blocks; returns (thread, outcome)."""
+    outcome = []
+    thread = threading.Thread(
+        target=lambda: outcome.append(batcher.score(block)), daemon=True
+    )
+    thread.start()
+    assert held.entered.wait(10)
+    return thread, outcome
+
+
+def _start_callers(batcher, blocks, **kwargs):
+    """One thread per block while a held pass runs, each queued before the
+    next starts, so the queue holds the blocks in order; returns
+    (threads, outcomes), an outcome being the scores or the exception."""
+    outcomes = [None] * len(blocks)
+
+    def call(i):
+        try:
+            outcomes[i] = batcher.score(blocks[i], **kwargs)
+        except Exception as exc:  # the test inspects it
+            outcomes[i] = exc
+
+    threads = []
+    for i in range(len(blocks)):
+        threads.append(threading.Thread(target=call, args=(i,), daemon=True))
+        threads[-1].start()
+        _wait_for(lambda: len(batcher._queue) == i + 1)
+    return threads, outcomes
+
+
+def _join_all(threads):
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
 class TestMicroBatcher:
+    def test_solo_miss_scores_on_the_calling_thread(self):
+        idents = []
+
+        def score_fn(pairs):
+            idents.append(threading.get_ident())
+            return _keyed(pairs)
+
+        metrics = ServiceMetrics()
+        before = set(threading.enumerate())
+        with MicroBatcher(score_fn, metrics=metrics) as batcher:
+            got = batcher.score(np.array([[3, 1], [4, 2]]))
+            assert set(threading.enumerate()) <= before
+        assert np.array_equal(got, [3001, 4002])
+        assert idents == [threading.get_ident()]
+        assert metrics.counter("batches") == 1
+        assert metrics.histogram("queue").count == 1
+
     def test_concurrent_requests_share_batches(self, snapshot, micro_split):
         pairs = micro_split.test_pairs[:8]
         expected = snapshot.predict(pairs)
+        held = _HeldPass(snapshot.predict)
         metrics = ServiceMetrics()
-        with MicroBatcher(
-            snapshot.predict,
-            max_batch_size=64,
-            batch_window_s=0.05,
-            num_workers=1,
-            metrics=metrics,
-        ) as batcher:
-            futures = [batcher.submit(pairs[i:i + 1]) for i in range(len(pairs))]
-            got = np.concatenate([f.result(timeout=10) for f in futures])
+        with MicroBatcher(held, max_batch_size=64, metrics=metrics) as batcher:
+            lead, _ = _start_held_pass(batcher, held, pairs[:1])
+            threads, outcomes = _start_callers(
+                batcher, [pairs[i:i + 1] for i in range(len(pairs))]
+            )
+            held.released.set()
+            _join_all([lead] + threads)
+        got = np.concatenate(outcomes)
         assert np.array_equal(got, expected)
-        # One worker with a generous window merges the backlog.
-        assert metrics.counter("batches") < len(pairs)
-        assert metrics.counter("batched_requests") == len(pairs)
+        # The backlog queued behind the held pass merges into one pass.
+        assert metrics.counter("batches") == 2
+        assert metrics.counter("batched_requests") == len(pairs) + 1
+
+    def test_leaders_drain_a_queue_longer_than_the_cap(self):
+        held = _HeldPass(_keyed)
+        metrics = ServiceMetrics()
+        blocks = [
+            np.array([[i, t] for t in range(1 + i % 3)]) for i in range(10)
+        ]
+        with MicroBatcher(held, max_batch_size=4, metrics=metrics) as batcher:
+            lead, first = _start_held_pass(batcher, held, np.array([[99, 0]]))
+            threads, outcomes = _start_callers(batcher, blocks)
+            held.released.set()
+            _join_all([lead] + threads)
+        assert np.array_equal(first[0], [99000])
+        for block, got in zip(blocks, outcomes):
+            assert np.array_equal(got, _keyed(block))  # exactly its own rows
+        # The held pass, then the ten queued requests as 4 + 4 + 2.
+        assert metrics.counter("batches") == 1 + 3
+        assert metrics.counter("batched_requests") == len(blocks) + 1
+        assert metrics.counter("batched_pairs") == 1 + sum(map(len, blocks))
+        assert metrics.histogram("queue").count == len(blocks) + 1
 
     def test_error_propagates_to_all_callers(self):
-        def boom(pairs):
-            raise RuntimeError("scoring failed")
+        passes = []
 
-        with MicroBatcher(boom, batch_window_s=0.01) as batcher:
-            future = batcher.submit(np.array([[0, 0]]))
-            with pytest.raises(RuntimeError, match="scoring failed"):
-                future.result(timeout=10)
+        def second_pass_fails(pairs):
+            passes.append(len(pairs))
+            if len(passes) == 2:
+                raise RuntimeError("scoring failed")
+            return _keyed(pairs)
 
-    def test_submit_after_close_raises(self, snapshot):
+        held = _HeldPass(second_pass_fails)
+        with MicroBatcher(held) as batcher:
+            lead, first = _start_held_pass(batcher, held, np.array([[7, 0]]))
+            threads, outcomes = _start_callers(
+                batcher, [np.array([[i, 1]]) for i in range(4)]
+            )
+            held.released.set()
+            _join_all([lead] + threads)
+            assert np.array_equal(first[0], [7000])
+            for outcome in outcomes:
+                assert isinstance(outcome, RuntimeError)
+                assert "scoring failed" in str(outcome)
+            # The failed pass released leadership: the next call leads.
+            assert np.array_equal(batcher.score(np.array([[5, 2]])), [5002])
+        assert passes == [1, 4, 1]
+
+    def test_waiter_honours_its_timeout(self):
+        held = _HeldPass(_keyed)
+        metrics = ServiceMetrics()
+        with MicroBatcher(held, metrics=metrics) as batcher:
+            lead, _ = _start_held_pass(batcher, held, np.array([[1, 0]]))
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                batcher.score(np.array([[2, 0]]), timeout=0.05)
+            assert 0.05 <= time.monotonic() - started < 5.0
+            held.released.set()
+            _join_all([lead])
+            assert np.array_equal(batcher.score(np.array([[3, 0]])), [3000])
+        # The timed-out request was withdrawn: no later pass scored it.
+        assert metrics.counter("batched_requests") == 2
+        assert metrics.counter("batched_pairs") == 2
+
+    def test_many_threads_each_get_their_own_rows(self):
+        threads_n, calls = 16, 50
+        metrics = ServiceMetrics()
+        rows_sent = [0] * threads_n
+        failures = []
+
+        def caller(t):
+            rng = np.random.default_rng(t)
+            for c in range(calls):
+                rows = int(rng.integers(1, 6))
+                block = np.stack(
+                    [np.full(rows, t * calls + c), np.arange(rows)], axis=1
+                )
+                try:
+                    got = batcher.score(block, timeout=30)
+                except Exception as exc:  # reported below
+                    failures.append((t, c, exc))
+                    continue
+                rows_sent[t] += rows
+                if not np.array_equal(got, _keyed(block)):
+                    failures.append((t, c, got))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            batcher = MicroBatcher(_keyed, max_batch_size=4, metrics=metrics)
+            with batcher:
+                threads = [
+                    threading.Thread(target=caller, args=(t,), daemon=True)
+                    for t in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        assert metrics.counter("batched_requests") == threads_n * calls
+        assert metrics.counter("batched_pairs") == sum(rows_sent)
+        assert metrics.histogram("queue").count == threads_n * calls
+        assert metrics.histogram("score").count == metrics.counter("batches")
+
+    def test_score_after_close_raises(self, snapshot):
         batcher = MicroBatcher(snapshot.predict)
         batcher.close()
         with pytest.raises(RuntimeError, match="closed"):
-            batcher.submit(np.array([[0, 0]]))
+            batcher.score(np.array([[0, 0]]))
 
 
 class TestRecommendationService:
@@ -293,6 +473,13 @@ class TestRecommendationService:
                 [r.score for r in reference]
             )
 
+    def test_service_starts_no_thread(self, snapshot):
+        before = set(threading.enumerate())
+        with RecommendationService(snapshot) as svc:
+            assert svc.query(1, k=2)
+            assert set(threading.enumerate()) <= before
+        assert svc.stats()["batching"] == {"max_batch_size": 32}
+
     def test_stats_shape(self, service):
         service.query(0)
         stats = service.stats()
@@ -376,9 +563,11 @@ class TestProtocol:
             assert status == 200 and len(types) == service.snapshot.num_types
             with pytest.raises(urllib.error.HTTPError) as err:
                 get("/recommend")  # missing type
+            err.value.close()
             assert err.value.code == 400
             with pytest.raises(urllib.error.HTTPError) as err:
                 get("/nope")
+            err.value.close()
             assert err.value.code == 404
         finally:
             server.shutdown()

@@ -103,7 +103,7 @@ def query_rows(service, store_type, k, **kwargs):
     ]
 
 
-SERVICE_KWARGS = dict(cache_entries=0, batch_window_ms=0.0, num_workers=1)
+SERVICE_KWARGS = dict(cache_entries=0)
 
 
 # ----------------------------------------------------------------------

@@ -9,15 +9,21 @@ Pins the PR's three layers against their reference implementations:
   per-k metric calls float-for-float;
 * ``WorkerPool`` serves over N processes with correct shared-memory stats
   aggregation and atomic fleet-wide hot swap -- every response observed
-  during a swap matches the old snapshot or the new one, never a blend.
+  during a swap matches the old snapshot or the new one, never a blend;
+  the BLAS-thread cap its workers apply only ever lowers the count.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +36,7 @@ from repro.metrics import (
     ranking_metrics_bulk,
     recall_at_k,
 )
+from repro import runtime
 from repro.nn import init
 from repro.serve import (
     ModelSnapshot,
@@ -459,3 +466,43 @@ class TestWorkerPool:
 
         assert not torn, f"torn reads: {torn[:3]}"
         assert tuple(expect_old) in observed  # traffic ran before the swap
+
+
+# A fresh interpreter, so the thread count starts at numpy's default and
+# no other test's cap leaks in.
+_BLAS_LIMIT_SCRIPT = textwrap.dedent(
+    """
+    import json
+    from repro import runtime
+
+    calls = runtime._openblas_thread_calls()
+    if calls is None:
+        print("null")
+    else:
+        get_threads = calls[1]
+        before = get_threads()
+        lowered = runtime.limit_blas_threads(1)
+        after = get_threads()
+        kept = runtime.limit_blas_threads(before + 2)
+        print(json.dumps([before, lowered, after, kept, get_threads()]))
+    """
+)
+
+
+def test_limit_blas_threads_lowers_and_never_raises():
+    src = Path(runtime.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_LIMIT_SCRIPT],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout)
+    if record is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count symbol")
+    before, lowered, after, kept, final = record
+    assert before >= 1 and lowered and kept
+    assert after == 1  # lowered to the cap
+    assert final == 1  # a cap above the count never raises it
