@@ -1,13 +1,14 @@
 """Step compiler: trace-and-replay training vs the eager pooled baseline.
 
 Two fresh-subprocess legs on the real-city preset, identical except for
-``O2_COMPILE_STEP`` (both run the default memory plane: buffer pool on,
-tuned allocator, tape retirement):
+whether the leg builds a :class:`repro.tensor.plan.CompiledStep` (both run
+the default memory plane: buffer pool on, tuned allocator, tape
+retirement):
 
-* ``eager`` -- ``O2_COMPILE_STEP=0``: every batch step builds the autograd
+* ``eager`` -- no compiled step: every batch step builds the autograd
   tape, walks it node by node, and dispatches each op through the Python
   tensor layer (the BENCH_memory ``pool`` leg's configuration);
-* ``plan``  -- ``O2_COMPILE_STEP=1``: the first step per batch signature
+* ``plan``  -- a compiled step: the first step per batch signature
   is captured into an :class:`repro.tensor.plan.ExecutionPlan`; every
   subsequent step replays the recorded thunk list and flat backward
   schedule with zero tape construction and zero autograd dispatch.
@@ -63,7 +64,7 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
     from repro.core.model import O2SiteRec
     from repro.nn import init
     from repro.optim import Adam, clip_grad_norm
-    from repro.runtime import env_flag, tune_allocator
+    from repro.runtime import tune_allocator
     from repro.tensor import memprof
     from repro.tensor.plan import CompiledStep
 
@@ -86,7 +87,7 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
     optimizer = Adam(model.parameters(), lr=1e-4)
 
     compiled = None
-    if env_flag("O2_COMPILE_STEP", True):
+    if LEG_COMPILE_STEP[leg]:
         compiled = CompiledStep(
             loss_fn=lambda p, t: model.loss(p, t)[0],
             parameters=model.parameters(),
@@ -192,26 +193,17 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
     }
 
 
-# Both legs run the default memory plane (pool on, tuned allocator); the
-# only difference is whether the step compiler is engaged, so the measured
-# delta is tape construction + Python autograd dispatch and nothing else.
-LEG_ENV = {
-    "eager": {
-        "O2_COMPILE_STEP": "0",
-        "O2_BUFFER_POOL": "1",
-        "O2_MEM_PROFILE": "1",
-    },
-    "plan": {
-        "O2_COMPILE_STEP": "1",
-        "O2_BUFFER_POOL": "1",
-        "O2_MEM_PROFILE": "1",
-    },
-}
+# Both legs run the default memory plane (pool on, tuned allocator) with
+# the allocation profiler on; the only difference is whether the step
+# compiler is engaged, so the measured delta is tape construction + Python
+# autograd dispatch and nothing else.
+LEG_COMPILE_STEP = {"eager": False, "plan": True}
+LEG_ENV = {"O2_MEM_PROFILE": "1"}
 
 
 def spawn_leg(name: str, scale: float, steps: int) -> dict:
     return common.run_bench_leg(
-        __file__, name, ["--scale", scale, "--steps", steps], env=LEG_ENV[name]
+        __file__, name, ["--scale", scale, "--steps", steps], env=LEG_ENV
     )
 
 
@@ -222,7 +214,9 @@ def spawn_leg(name: str, scale: float, steps: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke mode")
-    parser.add_argument("--leg", choices=sorted(LEG_ENV), help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--leg", choices=sorted(LEG_COMPILE_STEP), help=argparse.SUPPRESS
+    )
     parser.add_argument("--scale", type=float, default=None)
     parser.add_argument("--steps", type=int, default=None)
     args = parser.parse_args()
@@ -326,6 +320,7 @@ def main() -> int:
         "steps": steps,
         "floors": {"speedup": speedup_floor, "target": speedup_target},
         "leg_env": LEG_ENV,
+        "leg_compile_step": LEG_COMPILE_STEP,
         "eager": {k: v for k, v in eager.items() if k != "memprof_text"},
         "plan": {k: v for k, v in plan.items() if k != "memprof_text"},
         "speedup": {

@@ -3,8 +3,8 @@
 Two fresh-subprocess legs on the real-city preset, identical except for the
 memory plane:
 
-* ``ref``  -- ``O2_BUFFER_POOL=0``, the untuned stock allocator (see the
-  ``LEG_ENV`` note on why the glibc mmap threshold is pinned at its
+* ``ref``  -- ``set_buffer_pool(False)``, the untuned stock allocator (see
+  the ``LEG_ENV`` note on why the glibc mmap threshold is pinned at its
   documented default) and a plain ``loss.backward()``: every op and every
   gradient accumulation allocates a fresh array, the tape is only
   reclaimed when the loss rebinds (the pre-PR configuration);
@@ -59,9 +59,12 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
     from repro.nn import init
     from repro.optim import Adam
     from repro.runtime import tune_allocator
-    from repro.tensor import memprof
+    from repro.tensor import memprof, pool
 
-    tune_allocator()
+    if leg == "ref":
+        pool.set_buffer_pool(False)  # and the stock allocator: no tuning
+    else:
+        tune_allocator()
 
     dataset, split = build_dataset("real", 0, scale)
     pairs = split.train_pairs
@@ -144,8 +147,8 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
 
 # The ref leg re-creates the pre-memory-plane configuration (pool off,
 # untuned glibc allocator), mirroring how bench_train_throughput.py pins
-# its pre-optimisation reference leg.  ``O2_MALLOC_TUNE=0`` alone is not
-# enough to hold that configuration: glibc's dynamic mmap threshold
+# its pre-optimisation reference leg.  Skipping ``tune_allocator()`` alone
+# is not enough to hold that configuration: glibc's dynamic mmap threshold
 # self-tunes upward on every large munmap, so after a few steps the
 # "untuned" process has silently converged to the tuned allocator and the
 # leg measures execution history instead of the reference path.  Pinning
@@ -154,23 +157,13 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
 # multi-megabyte temporary is a fresh mmap + kernel page-zeroing + munmap)
 # stable and reproducible.
 #
-# Both legs pin ``O2_COMPILE_STEP=0``: this bench characterises the eager
-# memory plane, and the step compiler (default-on since it landed) would
-# otherwise pin captured tapes into the RSS numbers.  The compiled-vs-eager
-# comparison lives in bench_compile.py.
+# Neither leg builds a ``CompiledStep``: this bench characterises the
+# eager memory plane, and a step compiler would pin captured tapes into
+# the RSS numbers.  The compiled-vs-eager comparison lives in
+# bench_compile.py.
 LEG_ENV = {
-    "ref": {
-        "O2_BUFFER_POOL": "0",
-        "O2_MALLOC_TUNE": "0",
-        "MALLOC_MMAP_THRESHOLD_": "131072",
-        "O2_MEM_PROFILE": "1",
-        "O2_COMPILE_STEP": "0",
-    },
-    "pool": {
-        "O2_BUFFER_POOL": "1",
-        "O2_MEM_PROFILE": "1",
-        "O2_COMPILE_STEP": "0",
-    },
+    "ref": {"MALLOC_MMAP_THRESHOLD_": "131072", "O2_MEM_PROFILE": "1"},
+    "pool": {"O2_MEM_PROFILE": "1"},
 }
 
 

@@ -1,14 +1,15 @@
 """Sharded propagation: grid-tile band sweep vs the single-process legs.
 
 Three fresh-subprocess legs on the metropolis preset (10k+ regions, ~1.3M
-S-U edges across five periods), identical except for the tile switch read
-at import time and the propagation entry point they time:
+S-U edges across five periods), identical except for the tile count each
+leg sets at its start (``set_shard_tiles``, :data:`LEG_TILES`) and the
+propagation entry point they time:
 
-* ``single``    -- ``O2_SHARD_TILES=0``: the dense period-batched pass
+* ``single``    -- 0 tiles: the dense period-batched pass
   (full-graph kernels), the reference the band sweep is pinned to;
-* ``perperiod`` -- ``O2_SHARD_TILES=0``, timing
+* ``perperiod`` -- 0 tiles, timing
   ``HeteroRecommender.propagate_per_period``: the per-period test oracle;
-* ``sharded``   -- ``O2_SHARD_TILES=8``: the same batched pass with its
+* ``sharded``   -- 8 tiles: the same batched pass with its
   layers swept over grid-tile row bands, in-process (no forks, whatever
   ``O2_NUM_PROCS`` says); the win is cache tiling -- band-local edge
   intermediates stay resident instead of streaming ~85 MB of full-graph
@@ -76,6 +77,7 @@ def run_leg(leg: str, scale: float, reps: int) -> dict:
     from repro.runtime import tune_allocator
     from repro.tensor import no_grad
 
+    shard.set_shard_tiles(LEG_TILES[leg])
     tune_allocator()
 
     dataset, _split = common.cached_dataset("metropolis", 0, scale)
@@ -136,19 +138,12 @@ def run_leg(leg: str, scale: float, reps: int) -> dict:
 # Driver.
 # ---------------------------------------------------------------------------
 
-LEG_ENV = {
-    "single": {"O2_SHARD_TILES": "0"},
-    "perperiod": {"O2_SHARD_TILES": "0"},
-    "sharded": {"O2_SHARD_TILES": str(SHARD_TILES)},
-}
+LEG_TILES = {"single": 0, "perperiod": 0, "sharded": SHARD_TILES}
 
 
 def spawn_leg(name: str, scale: float, reps: int) -> dict:
     return common.run_bench_leg(
-        __file__,
-        name,
-        ["--scale", scale, "--reps", reps],
-        env=LEG_ENV[name],
+        __file__, name, ["--scale", scale, "--reps", reps]
     )
 
 
@@ -235,7 +230,7 @@ def validate_recorded(path: Path, floor: float) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--leg", choices=sorted(LEG_ENV))
+    parser.add_argument("--leg", choices=sorted(LEG_TILES))
     parser.add_argument("--scale", type=float, default=None)
     parser.add_argument("--reps", type=int, default=None)
     ns = parser.parse_args()
@@ -251,7 +246,7 @@ def main() -> None:
     )
     reps = ns.reps if ns.reps is not None else (2 if quick else 3)
 
-    legs = {name: spawn_leg(name, scale, reps) for name in LEG_ENV}
+    legs = {name: spawn_leg(name, scale, reps) for name in LEG_TILES}
     check_legs(legs)
     text = format_report(legs, scale, "quick" if quick else "full",
                          SPEEDUP_FLOOR)
@@ -268,7 +263,7 @@ def main() -> None:
             "reps": reps,
             "tiles": legs["sharded"]["tiles_engaged"],
             "floors": {"speedup": SPEEDUP_FLOOR},
-            "leg_env": LEG_ENV,
+            "leg_tiles": LEG_TILES,
             "identical": legs["sharded"]["sha"] == legs["perperiod"]["sha"],
             "speedup": {
                 "vs_single_cold": speedup,
@@ -279,7 +274,7 @@ def main() -> None:
                 "peak_rss": legs["single"]["peak_rss_mb"]
                 / legs["sharded"]["peak_rss_mb"],
             },
-            **{name: legs[name] for name in LEG_ENV},
+            **{name: legs[name] for name in LEG_TILES},
         }
         (ROOT / "BENCH_shard.json").write_text(
             json.dumps(payload, indent=2) + "\n"

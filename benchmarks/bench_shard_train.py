@@ -1,19 +1,19 @@
 """Banded training step: halo-synchronised tile-parallel fwd+bwd vs dense.
 
 Two fresh-subprocess legs run the same eager batch-128 Adam steps on the
-metropolis preset (10k+ regions), identical except for the ``O2_*``
-switches read at import time:
+metropolis preset (10k+ regions), identical except for the tile count each
+leg sets at its start (``set_shard_tiles``, :data:`LEG_TILES`):
 
-* ``reference`` -- ``O2_SHARD_TILES=0``: the dense training step (full-
-  range autograd attention per relation per period);
-* ``serial``    -- ``O2_SHARD_TILES=8 O2_NUM_PROCS=0``:
+* ``reference`` -- 0 tiles: the dense training step (full-range autograd
+  attention per relation per period);
+* ``serial``    -- 8 tiles:
   the banded step as the in-process cache-tiled band sweep.  The win is
   locality: band-sized edge intermediates stay cache-resident through the
   block-sweep backward instead of streaming full-graph temporaries
   through DRAM, and the forward stashes each band's attention softmax so
   the backward skips the recompute.
 
-Both legs pin ``O2_COMPILE_STEP=0``: a banded step poisons an active
+Neither leg builds a ``CompiledStep``: a banded step poisons an active
 capture by design (see DESIGN.md section 12), so eager-vs-eager isolates
 the band sweep.  Every leg records its per-step losses and a SHA-256 over
 the final parameters; the bench asserts the banded leg is *bitwise
@@ -73,6 +73,7 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
     from repro.optim import Adam, clip_grad_norm
     from repro.runtime import tune_allocator
 
+    shard.set_shard_tiles(LEG_TILES[leg])
     tune_allocator()
 
     dataset, split = common.cached_dataset("metropolis", 0, scale)
@@ -126,24 +127,15 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
 # Driver.
 # ---------------------------------------------------------------------------
 
-# Eager on every leg: the banded step poisons replay capture by design, so
-# compiled-vs-eager would measure the fallback, not the executor.
-LEG_ENV = {
-    "reference": {"O2_COMPILE_STEP": "0", "O2_SHARD_TILES": "0"},
-    "serial": {
-        "O2_COMPILE_STEP": "0",
-        "O2_SHARD_TILES": str(SHARD_TILES),
-        "O2_NUM_PROCS": "0",
-    },
-}
+# Eager on every leg (run_leg never builds a CompiledStep): the banded
+# step poisons replay capture by design, so compiled-vs-eager would
+# measure the fallback, not the executor.
+LEG_TILES = {"reference": 0, "serial": SHARD_TILES}
 
 
 def spawn_leg(name: str, scale: float, steps: int) -> dict:
     return common.run_bench_leg(
-        __file__,
-        name,
-        ["--scale", scale, "--steps", steps],
-        env=LEG_ENV[name],
+        __file__, name, ["--scale", scale, "--steps", steps]
     )
 
 
@@ -188,7 +180,7 @@ def format_report(legs: dict, scale: float, mode: str, floor: float) -> str:
         f"{'leg':<10} {'cold':>9} {'best':>9} {'median':>9} "
         f"{'peak rss':>10} {'param sha':>18}",
     ]
-    for name in LEG_ENV:
+    for name in LEG_TILES:
         leg = legs[name]
         lines.append(
             f"{name:<10} {leg['cold_s']:>7.2f} s {leg['best_s']:>7.2f} s "
@@ -241,7 +233,7 @@ def validate_recorded(path: Path, floor: float) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--leg", choices=sorted(LEG_ENV))
+    parser.add_argument("--leg", choices=sorted(LEG_TILES))
     parser.add_argument("--scale", type=float, default=None)
     parser.add_argument("--steps", type=int, default=None)
     ns = parser.parse_args()
@@ -259,7 +251,7 @@ def main() -> None:
         QUICK_STEPS if quick else FULL_STEPS
     )
 
-    legs = {name: spawn_leg(name, scale, steps) for name in LEG_ENV}
+    legs = {name: spawn_leg(name, scale, steps) for name in LEG_TILES}
     check_legs(legs)
     text = format_report(legs, scale, "quick" if quick else "full",
                          SPEEDUP_FLOOR)
@@ -277,7 +269,7 @@ def main() -> None:
             "steps": steps,
             "batch": BATCH,
             "floors": {"speedup_cold": SPEEDUP_FLOOR},
-            "leg_env": LEG_ENV,
+            "leg_tiles": LEG_TILES,
             "identical": (
                 legs["serial"]["param_sha"] == legs["reference"]["param_sha"]
                 and legs["serial"]["losses"] == legs["reference"]["losses"]
@@ -293,7 +285,7 @@ def main() -> None:
                 "peak_rss": legs["reference"]["peak_rss_mb"]
                 / legs["serial"]["peak_rss_mb"],
             },
-            **{name: legs[name] for name in LEG_ENV},
+            **{name: legs[name] for name in LEG_TILES},
         }
         (ROOT / "BENCH_shard_train.json").write_text(
             json.dumps(payload, indent=2) + "\n"

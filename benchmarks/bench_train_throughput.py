@@ -12,8 +12,8 @@ Two layers of measurement on the real-city preset:
    these small matmuls dominates the rows and misreports the kernels.
 2. *End-to-end epochs* -- each leg runs in a fresh subprocess so allocator
    state and kernel switches cannot leak between them.  The reference leg
-   re-creates the pre-optimisation configuration (``O2_FAST_KERNELS=0``,
-   ``O2_MALLOC_TUNE=0``, per-period propagation); the fast leg is the
+   re-creates the pre-optimisation configuration (``set_fast_kernels(False)``
+   and the stock allocator: no ``tune_allocator()``); the fast leg is the
    default configuration.  Both report the paper-faithful batched epoch
    (``paper_train_config``'s batch size, cycling real batches to steady
    state) and the full-batch epoch (one step + one evaluation pass).
@@ -52,15 +52,19 @@ BATCH_SIZE = 128  # paper_train_config().batch_size
 # Subprocess leg: one configuration, fresh interpreter.
 # ---------------------------------------------------------------------------
 
-def run_leg(scale: float, steps: int) -> dict:
-    """Measure one configuration (selected via env) in this process."""
+def run_leg(leg: str, scale: float, steps: int) -> dict:
+    """Measure one configuration (see :data:`LEGS`) in this process."""
     from repro.experiments.harness import build_dataset
     from repro.core.model import O2SiteRec
     from repro.nn import init
     from repro.optim import Adam
     from repro.runtime import tune_allocator
+    from repro.tensor import set_fast_kernels
 
-    tune_allocator()  # no-op when O2_MALLOC_TUNE=0 (reference leg)
+    if leg == "ref":
+        set_fast_kernels(False)  # and the stock allocator: no tuning
+    else:
+        tune_allocator()
 
     dataset, split = build_dataset("real", 0, scale)
     pairs = split.train_pairs
@@ -125,23 +129,16 @@ def run_leg(scale: float, steps: int) -> dict:
     }
 
 
-LEG_ENV = {
-    # The reference leg reproduces the pre-optimisation execution: in-tree
-    # reference kernels, per-period serial propagation, untouched allocator.
-    # Both legs pin O2_COMPILE_STEP=0 so the kernel comparison
-    # stays eager-vs-eager; bench_compile.py owns the compiled-step story.
-    "ref": {
-        "O2_FAST_KERNELS": "0",
-        "O2_MALLOC_TUNE": "0",
-        "O2_COMPILE_STEP": "0",
-    },
-    "fast": {"O2_COMPILE_STEP": "0"},
-}
+# The reference leg reproduces the pre-optimisation execution: in-tree
+# reference kernels and the untouched allocator.  Neither leg builds a
+# CompiledStep, so the kernel comparison stays eager-vs-eager;
+# bench_compile.py owns the compiled-step story.
+LEGS = ("ref", "fast")
 
 
 def spawn_leg(name: str, scale: float, steps: int) -> dict:
     return common.run_bench_leg(
-        __file__, name, ["--scale", scale, "--steps", steps], env=LEG_ENV[name]
+        __file__, name, ["--scale", scale, "--steps", steps]
     )
 
 
@@ -289,7 +286,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke mode")
     parser.add_argument(
-        "--leg", choices=sorted(LEG_ENV) + ["micro"], help=argparse.SUPPRESS
+        "--leg", choices=list(LEGS) + ["micro"], help=argparse.SUPPRESS
     )
     parser.add_argument("--scale", type=float, default=None)
     parser.add_argument("--steps", type=int, default=None)
@@ -299,7 +296,7 @@ def main() -> int:
         print(json.dumps(micro_benchmarks(args.quick)))
         return 0
     if args.leg:
-        print(json.dumps(run_leg(args.scale, args.steps)))
+        print(json.dumps(run_leg(args.leg, args.scale, args.steps)))
         return 0
 
     quick = args.quick
@@ -308,7 +305,7 @@ def main() -> int:
     floor = 1.0 if quick else 3.0
 
     micro = spawn_micro(quick)
-    legs = {name: spawn_leg(name, scale, steps) for name in ("ref", "fast")}
+    legs = {name: spawn_leg(name, scale, steps) for name in LEGS}
 
     loss_delta = abs(
         legs["ref"]["first_batch_loss"] - legs["fast"]["first_batch_loss"]

@@ -84,13 +84,20 @@ def run_bench_leg(script, leg: str, args=(), env=None) -> dict:
     """Run one benchmark leg in a fresh interpreter and harvest its JSON.
 
     The throughput drivers (``bench_train_throughput``, ``bench_memory``,
-    ``bench_compile``, ...) compare execution modes that are selected by
-    ``O2_*`` environment switches read at import time, so each leg must be
-    a brand-new process: the driver re-executes ``script`` with ``--leg
-    <name>`` plus ``args``, overlaying ``env`` on the inherited environment
-    and pinning ``PYTHONPATH`` to the in-tree package.  The leg prints a
-    single JSON object as its final stdout line; that object is returned.
-    Any non-zero exit raises with both output streams attached.
+    ``bench_compile``, ...) compare execution modes, and each leg runs in a
+    brand-new process so that allocator state, caches and process-wide
+    mode switches cannot leak from one leg into the next.  The leg selects
+    its mode itself: at its start it calls the same hooks the tests use
+    (``set_fast_kernels``, ``set_buffer_pool``, ``set_shard_tiles``, a
+    ``CompiledStep`` or none), the way :func:`reference_orders` reaches
+    the order oracles, and a leg that measures the stock allocator skips
+    its ``tune_allocator()`` call.  The driver re-executes ``script`` with
+    ``--leg <name>`` plus ``args``, overlaying ``env`` (what a leg still
+    takes from the environment: ``O2_MEM_PROFILE``, glibc ``MALLOC_*``
+    variables, BLAS thread counts) on the inherited environment and
+    pinning ``PYTHONPATH`` to the in-tree package.  The leg prints a single
+    JSON object as its final stdout line; that object is returned.  Any
+    non-zero exit raises with both output streams attached.
     """
     leg_env = dict(os.environ)
     if env:

@@ -90,8 +90,8 @@ def main() -> None:
     # 6. Retrieve-then-rank: attach a vector index so unconstrained
     #    queries probe IVF partitions of the exact score sheet instead of
     #    scanning every region, then re-rank survivors with the exact
-    #    scorer (DESIGN.md section 10; `--index`/`O2_SERVE_INDEX` on the
-    #    CLI).  The index rides inside the snapshot file either format.
+    #    scorer (DESIGN.md section 10; `use_index=` here, `--index` on
+    #    the CLI).  The index rides inside the snapshot file either format.
     index = snapshot.build_index(kind="ivf", retrieve_m=16)
     snapshot.save("/tmp/o2_siterec_snap.arena", format="arena")
     info = index.describe()

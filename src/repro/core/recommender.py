@@ -356,6 +356,10 @@ class HeteroRecommender(Module):
         # Period-offset pair index arrays for the batched forward, cached by
         # pair-array identity like the commercial rows.
         self._offset_idx_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
+        # Band tables of the grid-tile sweep (repro.core.shard), keyed by
+        # stacked destination array: each row carries its band's
+        # SegmentPlan, so they are built once and released with this model.
+        self._band_tables: Dict[int, tuple] = {}
         # (rows, cols) of the underlying region grid, attached by O2SiteRec;
         # required (with the fast kernels) for grid-tile banded propagation
         # (repro.core.shard) to engage.

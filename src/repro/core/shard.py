@@ -58,10 +58,10 @@ Eval and training
 -----------------
 One gate, :func:`shard_tiles_for`, decides for both modes and records its
 reason under the model's mode (:func:`shard_gate_reason` for eval,
-:func:`shard_train_gate_reason` for training).  ``O2_SHARD_TILES`` /
-:func:`set_shard_tiles` force a band count (``0`` disables banding in both
-modes), and past ``O2_SHARD_MIN_REGIONS`` regions (default 4096) it
-engages automatically.  The eval entry points run under
+:func:`shard_train_gate_reason` for training).  :func:`set_shard_tiles` /
+:func:`use_shard_tiles` force a band count (``0`` disables banding in both
+modes); otherwise it engages automatically from 4096 regions up.  The
+eval entry points run under
 :func:`repro.tensor.no_grad`, so an eval sweep records no backward and
 skips the per-band attention stash only the backward reads.
 
@@ -92,7 +92,6 @@ from ..graphs.partition import (
     band_node_splits,
     stacked_band_cuts,
 )
-from ..runtime import env_int, env_str
 from ..tensor import Tensor, fast_kernels_enabled, is_grad_enabled
 from ..tensor import cnative as _cnative
 from ..tensor import plan as _plan
@@ -103,7 +102,7 @@ from ..tensor.ops import (
     matmul_blocked,
     matmul_grad_blocked,
 )
-from ..tensor.segment import get_plan
+from ..tensor.segment import SegmentPlan, get_plan
 
 __all__ = [
     "DEFAULT_SHARD_TILES",
@@ -125,8 +124,8 @@ _NEGATIVE_SLOPE = 0.2
 _tile_override: Optional[int] = None
 
 # Why the last shard_tiles_for call said no (or yes), one short string per
-# model mode, surfaced by O2_MEM_PROFILE reports and the serving stats
-# endpoint so "running dense" is always explained.
+# model mode, surfaced by memprof reports and the serving stats endpoint so
+# "running dense" is always explained.
 _gate_reason = "not evaluated yet"
 _train_gate_reason = "not evaluated yet"
 
@@ -142,10 +141,9 @@ def shard_train_gate_reason() -> str:
 
 
 def set_shard_tiles(tiles: Optional[int]) -> Optional[int]:
-    """Force the shard tile count (``<=1`` disables, ``None`` = env/auto).
+    """Force the shard tile count (``<=1`` disables, ``None`` = auto).
 
-    Returns the previous override.  Mirrors ``O2_SHARD_TILES``, with the
-    override taking precedence.
+    Returns the previous override.
     """
     global _tile_override
     previous = _tile_override
@@ -169,24 +167,18 @@ def use_shard_tiles(tiles: Optional[int]) -> Iterator[None]:
 def resolve_shard_tiles(num_regions: int) -> int:
     """Requested tile count for a ``num_regions`` grid (0 = sharding off).
 
-    Priority: :func:`set_shard_tiles` override, then ``O2_SHARD_TILES``
-    (an explicit ``0``/``off`` disables, unset defers), then the automatic
-    threshold -- :data:`DEFAULT_SHARD_TILES` tiles once the grid reaches
-    ``O2_SHARD_MIN_REGIONS`` regions: band-local evaluation keeps every
-    intermediate cache-resident, which beats the monolithic sweep on one
-    core (see ``BENCH_shard.json``).
+    A :func:`set_shard_tiles` override wins; otherwise the automatic
+    threshold gives :data:`DEFAULT_SHARD_TILES` tiles once the grid
+    reaches ``_AUTO_MIN_REGIONS`` (4096) regions: band-local evaluation
+    keeps every intermediate cache-resident, which beats the monolithic
+    sweep on one core (see ``BENCH_shard.json``).
     """
     if _tile_override is not None:
         tiles = _tile_override
+    elif num_regions >= _AUTO_MIN_REGIONS:
+        tiles = DEFAULT_SHARD_TILES
     else:
-        raw = env_str("O2_SHARD_TILES", "")
-        if raw in ("0", "off"):
-            return 0
-        tiles = int(raw) if raw else 0
-        if tiles <= 0:
-            threshold = env_int("O2_SHARD_MIN_REGIONS", _AUTO_MIN_REGIONS)
-            if num_regions >= threshold:
-                tiles = DEFAULT_SHARD_TILES
+        tiles = 0
     return tiles if tiles > 1 else 0
 
 
@@ -225,11 +217,11 @@ def _gate(recommender, capacity_su) -> Tuple[int, str]:
     tiles = min(resolve_shard_tiles(rows * cols), rows)
     if tiles > 1:
         return tiles, f"engaged: {tiles} row bands over a {rows}x{cols} grid"
-    if _tile_override is not None or env_str("O2_SHARD_TILES", ""):
-        return 0, "disabled (tile count <= 1: O2_SHARD_TILES / shard_tiles)"
+    if _tile_override is not None:
+        return 0, "disabled (tile count <= 1: set_shard_tiles)"
     return 0, (
-        f"grid below O2_SHARD_MIN_REGIONS ({rows * cols} regions) "
-        "and no tile override"
+        f"grid below the {_AUTO_MIN_REGIONS}-region auto threshold "
+        f"({rows * cols} regions) and no tile override"
     )
 
 
@@ -267,13 +259,13 @@ def shard_tiles_for(recommender, capacity_su=None) -> int:
 def _attention_value(
     keys: np.ndarray,
     q_we: np.ndarray,
-    ids: np.ndarray,
-    num_segments: int,
+    plan: SegmentPlan,
     scale: float,
     att_state: Optional[dict] = None,
 ) -> np.ndarray:
     """Forward of :func:`repro.tensor.ops.segment_attention`, values only.
 
+    ``plan`` is the band's segment plan from its band-table row.
     ``att_state`` optionally receives the compiled kernel's attention
     ``weights``/``leaky`` intermediates: a training sweep stashes them per
     band so its backward can skip the softmax recompute (the stash holds
@@ -282,7 +274,7 @@ def _attention_value(
     """
     num_edges, num_heads, head_dim = keys.shape
     out_dim = num_heads * head_dim
-    plan = get_plan(ids, num_segments)
+    num_segments = plan.num_segments
     if _cnative.available():
         q_c = np.ascontiguousarray(q_we)
         if att_state is not None:
@@ -300,7 +292,7 @@ def _attention_value(
                 keys, q_c, plan, scale, _NEGATIVE_SLOPE
             )
         return np.multiply(agg, agg > 0)
-    q_edge = q_we[ids]
+    q_edge = q_we[plan.segment_ids]
     scores = np.einsum("ehd,ehd->eh", keys, q_edge)
     scores = np.multiply(scores, scale)
     leaky = np.where(scores > 0, 1.0, _NEGATIVE_SLOPE)
@@ -360,23 +352,22 @@ def _band_aggregate(
     q_we: np.ndarray,
     extras,
     lo: int,
-    n_band: int,
     e0: int,
     e1: int,
-    ids: np.ndarray,
+    plan: SegmentPlan,
     num_heads: int,
     head_dim: int,
     scale: float,
     att_state: Optional[dict] = None,
 ) -> np.ndarray:
-    """One relation's attention rows for targets ``[lo, lo + n_band)``.
+    """One relation's attention rows for the band's targets from ``lo``.
 
     ``[e0, e1)`` is the band's window of the destination-sorted edge
-    arrays and ``ids`` its band-local segment ids (``dst[e0:e1] - lo``),
-    both from the band table, which caches them per fit so the
-    ``SegmentPlan`` identity cache hits on every pass.  The keys come from
+    arrays and ``plan`` the segment plan over its band-local ids
+    (``dst[e0:e1] - lo``), both from the band table.  The keys come from
     :func:`_band_keys`.
     """
+    n_band = plan.num_segments
     if e1 <= e0:
         return np.zeros((n_band, num_heads * head_dim))
     keys = _band_keys(
@@ -384,7 +375,7 @@ def _band_aggregate(
         head_dim,
     )
     return _attention_value(
-        keys, q_we[lo : lo + n_band], ids, n_band, scale, att_state=att_state
+        keys, q_we[lo : lo + n_band], plan, scale, att_state=att_state
     )
 
 
@@ -420,19 +411,22 @@ def reset_shard_train_stats() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Band tables: per destination array, the (lo, hi, e0, e1, ids) window of
-# every band.  Keyed by array identity (stacked edge arrays are built once
-# per fit) with a strong reference, so the band-local ``ids`` arrays -- and
-# therefore their cached SegmentPlans -- are stable across training steps.
+# Band tables: per destination array, the (lo, hi, e0, e1, plan) row of
+# every band, ``plan`` being the SegmentPlan over the band-local segment
+# ids ``dst[e0:e1] - lo``.  The caller's ``tables`` dict (the recommender's
+# ``_band_tables``) keys them by array identity -- the stacked edge arrays
+# are built once per recommender -- so the plans are built once, reused by
+# every pass, and released with the recommender; band ids never enter the
+# global plan cache.
 # ---------------------------------------------------------------------------
 
-_BAND_TABLES: Dict[int, tuple] = {}
 
-
-def _band_table(dst: np.ndarray, cuts: np.ndarray) -> List[tuple]:
+def _band_table(
+    tables: Dict[int, tuple], dst: np.ndarray, cuts: np.ndarray
+) -> List[tuple]:
     key = id(dst)
     cuts_key = tuple(int(c) for c in cuts)
-    entry = _BAND_TABLES.get(key)
+    entry = tables.get(key)
     if entry is not None and entry[0] is dst and entry[1] == cuts_key:
         return entry[2]
     bounds = np.searchsorted(dst, cuts)
@@ -441,10 +435,8 @@ def _band_table(dst: np.ndarray, cuts: np.ndarray) -> List[tuple]:
         lo, hi = int(cuts[band]), int(cuts[band + 1])
         e0, e1 = int(bounds[band]), int(bounds[band + 1])
         ids = np.subtract(np.asarray(dst[e0:e1], dtype=np.int64), lo)
-        table.append((lo, hi, e0, e1, ids))
-    if len(_BAND_TABLES) >= 16:
-        _BAND_TABLES.clear()
-    _BAND_TABLES[key] = (dst, cuts_key, table)
+        table.append((lo, hi, e0, e1, SegmentPlan(ids, hi - lo)))
+    tables[key] = (dst, cuts_key, table)
     return table
 
 
@@ -461,8 +453,7 @@ def _band_att_backward(
     keys: np.ndarray,
     q_band: np.ndarray,
     gout_band: np.ndarray,
-    ids: np.ndarray,
-    n_band: int,
+    plan: SegmentPlan,
     scale: float,
     g_q_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -470,7 +461,8 @@ def _band_att_backward(
 
     ``keys`` is the band's ``(E_b, H, hd)`` key slice (recomputed from the
     block cover), ``q_band`` the ``(n_band, H, hd)`` query window,
-    ``gout_band`` the relu-masked output gradient rows.  The attention
+    ``gout_band`` the relu-masked output gradient rows and ``plan`` the
+    band's segment plan from its band-table row.  The attention
     weights and leaky slopes are recomputed band-locally -- the banded tape
     does not pin them -- with the same kernels as the recorded forward.
     ``g_q_out`` optionally receives the query gradient in place (the
@@ -478,7 +470,7 @@ def _band_att_backward(
     """
     num_edges, num_heads, head_dim = keys.shape
     out_dim = num_heads * head_dim
-    plan = get_plan(ids, n_band)
+    n_band = plan.num_segments
     if _cnative.available():
         q_c = np.ascontiguousarray(q_band)
         weights, leaky, _agg = _cnative.seg_att_fwd(
@@ -493,6 +485,7 @@ def _band_att_backward(
         return g_keys, g_q
     # Reference-kernel branch: recompute the softmax forward, then the
     # backward chain, exactly as ops.segment_attention writes them.
+    ids = plan.segment_ids
     q_edge = _pool.take_rows(q_band, ids, tag="segatt-qedge")
     scores = np.einsum("ehd,ehd->eh", keys, q_edge)
     scores = np.multiply(scores, scale)
@@ -650,7 +643,7 @@ def _banded_attention(
         gm_s = _scratch((max_cover, fuse_dim), "band-gmask")
         pend = _scratch((B, out_dim), "band-gk-carry")
         done = 0
-        for band_i, (lo, hi, e0, e1, ids) in enumerate(bands):
+        for band_i, (lo, hi, e0, e1, plan) in enumerate(bands):
             if e1 <= e0:
                 continue  # empty band: no edge rows, g_q stays zero
             direct = False  # band gradient written in-run (stash path)
@@ -689,7 +682,7 @@ def _banded_attention(
                     weights_b,
                     leaky_b,
                     gout[lo:hi],
-                    get_plan(ids, hi - lo),
+                    plan,
                     scale,
                     gkeys_out=gk_run[e0 - done : e1 - done].reshape(
                         e1 - e0, num_heads, head_dim
@@ -703,8 +696,7 @@ def _banded_attention(
                     k_band,
                     q_we.data[lo:hi],
                     gout[lo:hi],
-                    ids,
-                    hi - lo,
+                    plan,
                     scale,
                     g_q_out=g_q2d[lo:hi],
                 )
@@ -786,7 +778,7 @@ def _banded_attention(
         gk = np.empty((num_edges, out_dim))
         g_q = np.zeros(q_we.shape)
         g_q2d = g_q.reshape(q_we.shape[0], out_dim)
-        for lo, hi, e0, e1, ids in bands:
+        for lo, hi, e0, e1, plan in bands:
             if e1 <= e0:
                 continue  # empty band: gk has no rows, g_q stays zero
             b0, b1 = _cover(e0, e1, num_edges)
@@ -798,8 +790,7 @@ def _banded_attention(
                 k_band,
                 q_we.data[lo:hi],
                 gout[lo:hi],
-                ids,
-                hi - lo,
+                plan,
                 scale,
                 g_q_out=g_q2d[lo:hi],
             )
@@ -935,7 +926,7 @@ def _serial_values(
     prelude = rel_spec["prelude"]
     value = np.empty((prelude["q_we"].shape[0], out_dim))
     extras_data = [(t.data, i) for t, i in prelude["extras_t"]]
-    for band_i, (lo, hi, e0, e1, ids) in enumerate(bands):
+    for band_i, (lo, hi, e0, e1, plan) in enumerate(bands):
         slot = {} if stash is not None else None
         value[lo:hi] = _band_aggregate(
             src=rel_spec["src"],
@@ -947,10 +938,9 @@ def _serial_values(
             q_we=prelude["q_we"].data,
             extras=extras_data,
             lo=lo,
-            n_band=hi - lo,
             e0=e0,
             e1=e1,
-            ids=ids,
+            plan=plan,
             num_heads=agg.num_heads,
             head_dim=agg.head_dim,
             scale=agg.scale,
@@ -1014,7 +1004,11 @@ def propagate_periods_sharded(
         )
         part = GridTilePartition(rows, cols, rel_tiles, 1)
         splits = band_node_splits(regions, part.row_splits * cols, kind)
-        return _band_table(dst, stacked_band_cuts(splits, num_nodes, periods))
+        return _band_table(
+            recommender._band_tables,
+            dst,
+            stacked_band_cuts(splits, num_nodes, periods),
+        )
 
     bands_s = rel_bands(
         edges.sa_src_s, graph.store_regions, graph.num_store_nodes, "store"

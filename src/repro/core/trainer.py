@@ -15,10 +15,10 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..optim import Adam, CosineLR, StepLR, clip_grad_norm
-from ..runtime import env_flag, tune_allocator
+from ..runtime import tune_allocator
 from ..tensor.plan import CompiledStep
 from .model import O2SiteRec
-from .shard import shard_tiles_for, use_shard_tiles
+from .shard import shard_tiles_for
 
 
 @dataclass
@@ -37,16 +37,9 @@ class TrainConfig:
     verbose: bool = False
     # Optional learning-rate schedule: None (constant), "cosine" or "step".
     schedule: Optional[str] = None
-    # Trace-and-replay step compilation (see repro.tensor.plan).  None
-    # defers to the ``O2_COMPILE_STEP`` env switch (default on); replay is
-    # bit-identical to eager, so this is purely a throughput knob.
-    compile_step: Optional[bool] = None
-    # Grid-tile banded propagation (see repro.core.shard) for every
-    # training step and eval pass of this fit.  None defers to
-    # ``O2_SHARD_TILES`` / the automatic metropolis threshold; an explicit
-    # count pins it, and 0 pins the dense layer loop.  Bit-identical
-    # either way.
-    shard_tiles: Optional[int] = None
+    # Trace-and-replay step compilation (see repro.tensor.plan).  Replay
+    # is bit-identical to eager, so this is purely a throughput knob.
+    compile_step: bool = True
 
     def __post_init__(self) -> None:
         if self.schedule not in (None, "cosine", "step"):
@@ -101,7 +94,7 @@ class Trainer:
         """Train on (region, type) pairs with normalised count targets."""
         # Training churns through large short-lived arrays; keep them in the
         # malloc arena instead of handing pages back to the kernel per op
-        # (no-op off glibc or with O2_MALLOC_TUNE=0; see repro.runtime).
+        # (no-op off glibc; see repro.runtime).
         tune_allocator()
         cfg = self.config
         pairs = np.asarray(pairs, dtype=np.int64)
@@ -128,12 +121,7 @@ class Trainer:
         bad_epochs = 0
         stopped = cfg.epochs
 
-        compile_enabled = (
-            cfg.compile_step
-            if cfg.compile_step is not None
-            else env_flag("O2_COMPILE_STEP", True)
-        )
-        if compile_enabled:
+        if cfg.compile_step:
             self._compiled = CompiledStep(
                 loss_fn=lambda p, t: self.model.loss(p, t)[0],
                 parameters=self.model.parameters(),
@@ -157,12 +145,11 @@ class Trainer:
             # plan; swap the arena to the matching malloc profile.
             tune_allocator(profile="pinned")
         try:
-            with use_shard_tiles(cfg.shard_tiles):
-                return self._fit_loop(
-                    cfg, fit_pairs, fit_targets, val_pairs, val_targets, rng,
-                    train_losses, val_losses, best_val, best_state, bad_epochs,
-                    stopped,
-                )
+            return self._fit_loop(
+                cfg, fit_pairs, fit_targets, val_pairs, val_targets, rng,
+                train_losses, val_losses, best_val, best_state, bad_epochs,
+                stopped,
+            )
         finally:
             if self._compiled is not None:
                 self._compiled.close()

@@ -24,7 +24,9 @@ Layout and guarantees:
 
 ``O2_PIPELINE_CACHE`` semantics: unset/``1``/``on`` -> enabled under
 ``$XDG_CACHE_HOME/o2-siterec/pipeline`` (or ``~/.cache/...``);
-``0``/``off`` -> disabled; any other value -> used as the cache directory.
+``0``/``off``/``false``/``no`` (:data:`repro.runtime.FALSY`, the one set
+of "off" spellings) -> disabled; any other value -> used as the cache
+directory.
 
 CLI: ``python -m repro.data.cache {stats,clear,warm}``.
 """
@@ -44,7 +46,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..runtime import env_float, env_str
+from ..runtime import FALSY, env_float, env_str
 
 __all__ = [
     "PIPELINE_VERSION",
@@ -65,7 +67,6 @@ __all__ = [
 # embeds it, so stale artifacts from older code can never be served.
 PIPELINE_VERSION = "pr9.1"
 
-_OFF = ("0", "off", "false", "no")
 _ON = ("", "1", "on", "true", "yes")
 
 
@@ -113,7 +114,7 @@ class LRUCache:
 def cache_root() -> Optional[Path]:
     """Cache directory, or ``None`` when the cache is disabled."""
     low = env_str("O2_PIPELINE_CACHE", "1")
-    if low in _OFF:
+    if low in FALSY:
         return None
     if low in _ON:
         base = os.environ.get("XDG_CACHE_HOME") or os.path.join(

@@ -1,6 +1,6 @@
 """Adam optimizer (the paper trains with Adam, lr 1e-4).
 
-With the buffer pool enabled (``O2_BUFFER_POOL``, the default) the update
+With the buffer pool enabled (the default) the update
 runs fully in place through two pre-allocated scratch buffers per
 parameter: no ``m_hat``/``v_hat``/``grad**2`` temporaries and no fresh
 ``p.data`` per step.  The scratch path applies the *identical* sequence of

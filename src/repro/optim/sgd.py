@@ -3,7 +3,7 @@
 Like :class:`~repro.optim.adam.Adam`, the update runs fully in place (one
 scratch buffer per parameter, identical floating-point operation order)
 when the buffer pool is enabled, and falls back to the reference
-expressions when ``O2_BUFFER_POOL=0``.
+expressions when it is off (:func:`repro.tensor.pool.set_buffer_pool`).
 """
 
 from __future__ import annotations

@@ -83,27 +83,6 @@ class use_num_procs:
         set_num_procs(self._previous)
 
 
-def num_serve_procs(default: int = 1) -> int:
-    """Serving worker-process count from ``O2_SERVE_PROCS``.
-
-    ``auto`` maps to the CPU count (one pre-forked worker per core is the
-    sweet spot for the GIL-free serving plane); unset falls back to
-    ``default``.  Used by ``python -m repro.serve --procs`` and
-    :class:`repro.serve.workers.WorkerPool`.
-    """
-    raw = env_str("O2_SERVE_PROCS", "")
-    if raw in ("", "0"):
-        return max(default, 1)
-    if raw == "auto":
-        return os.cpu_count() or 1
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        raise ValueError(
-            f"O2_SERVE_PROCS must be an integer or 'auto', got {raw!r}"
-        ) from None
-
-
 # True inside a process_map worker (set by the pool initializer, which runs
 # once in each freshly forked/spawned child).  A task that itself calls
 # process_map -- e.g. a harness cell whose city simulation would fan its

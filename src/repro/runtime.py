@@ -12,7 +12,7 @@ on the batched fast path.
 buffer pool disabled it raises ``M_MMAP_THRESHOLD`` and
 ``M_TRIM_THRESHOLD`` so freed arena memory is retained and recycled in
 user space -- the pre-pool behaviour, trading resident high-water mark for
-speed.  With the pool enabled (``O2_BUFFER_POOL``, the default) the big
+speed.  With the pool enabled (the default) the big
 training temporaries are recycled by :mod:`repro.tensor.pool` itself, so
 arena hoarding would only double-cache them: the lean profile keeps
 glibc's documented 128 KiB mmap threshold (pinned, so the dynamic
@@ -27,8 +27,8 @@ long-lived, memory-sensitive processes (e.g. the serving layer) simply do
 not call it.
 
 The tuning is best-effort: on non-glibc platforms (musl, macOS, Windows)
-``mallopt`` is absent or a no-op and the function reports ``False``.  Set
-``O2_MALLOC_TUNE=0`` to disable it entirely.
+``mallopt`` is absent or a no-op and the function reports ``False``.  A
+process that wants the stock allocator simply does not call it.
 
 :func:`limit_blas_threads` caps the thread count of the OpenBLAS numpy
 loaded.  OpenBLAS helper threads keep spinning for a while after each
@@ -47,21 +47,18 @@ from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 __all__ = [
+    "FALSY",
     "env_flag",
     "env_float",
-    "env_int",
     "env_str",
     "tune_allocator",
-    "allocator_tuned",
     "limit_blas_threads",
 ]
 
-# One truthiness convention for every O2_* switch: anything except an
-# explicit "0"/"false"/"off" counts as on (so O2_FLAG= and O2_FLAG=yes both
-# enable).  ``default`` supplies the unset value -- flags that default off
-# (e.g. O2_MEM_PROFILE) and flags that default on (e.g. O2_BUFFER_POOL)
-# share the same parser instead of each module inverting it by hand.
-_FALSY = ("0", "false", "off")
+# The one set of "off" spellings for every environment switch: anything
+# else counts as on (so O2_MEM_PROFILE= and O2_MEM_PROFILE=yes both
+# enable).  The pipeline cache's path switch reads the same set.
+FALSY = ("0", "false", "off", "no")
 
 
 def env_flag(name: str, default: bool = True) -> bool:
@@ -69,19 +66,7 @@ def env_flag(name: str, default: bool = True) -> bool:
     raw = os.environ.get(name)
     if raw is None:
         return bool(default)
-    return raw.strip().lower() not in _FALSY
-
-
-def env_int(name: str, default: int) -> int:
-    """Parse the integer env knob ``name``; malformed values fall back.
-
-    Accepts float spellings (``O2_SHARD_MIN_REGIONS=4e3``) by truncation.
-    """
-    raw = os.environ.get(name, "")
-    try:
-        return int(float(raw or default))
-    except ValueError:
-        return int(default)
+    return raw.strip().lower() not in FALSY
 
 
 def env_float(name: str, default: float) -> float:
@@ -97,7 +82,7 @@ def env_str(name: str, default: str, lower: bool = True) -> str:
     """Parse the enum-valued env switch ``name``: stripped and lowercased.
 
     Every enum-valued ``O2_*`` switch (``O2_NUM_PROCS=auto``,
-    ``O2_SERVE_INDEX=on``...) compares case-insensitively against keyword
+    ``O2_PIPELINE_CACHE=off``) compares case-insensitively against keyword
     spellings; centralising the normalisation here keeps the modules on one
     convention, mirroring :func:`env_flag`.  Unset falls back to ``default``
     (also normalised, so callers can pass the canonical spelling).  Pass
@@ -113,7 +98,7 @@ def env_str(name: str, default: str, lower: bool = True) -> str:
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
-# Applied (mmap_threshold, trim_threshold), or None before the first tune.
+# Applied (mmap, trim) thresholds, or None before the first tune.
 _tuned: "tuple[int, int] | None" = None
 
 # Named threshold profiles (mmap, trim); see tune_allocator.
@@ -132,16 +117,7 @@ _PROFILES = {
 }
 
 
-def allocator_tuned() -> bool:
-    """Whether :func:`tune_allocator` has successfully applied a tuning."""
-    return _tuned is not None
-
-
-def tune_allocator(
-    mmap_threshold: int | None = None,
-    trim_threshold: int | None = None,
-    profile: str | None = None,
-) -> bool:
+def tune_allocator(profile: str | None = None) -> bool:
     """Tune glibc malloc for training (profile depends on the memory plane).
 
     Pool disabled: keep large freed buffers in the malloc arena instead of
@@ -149,29 +125,20 @@ def tune_allocator(
     thresholds so non-pooled frees return to the OS and the pool stays the
     only cache (``lean``).  Step compiler active: the pinned tape already
     dominates RSS, so retain replay-path temporaries too (``pinned``).
-    ``profile`` selects one by name; explicit thresholds override it.
+    ``profile`` selects one by name.
 
-    Idempotent per threshold pair and fail-soft: returns ``True`` if the
+    Idempotent per profile and fail-soft: returns ``True`` if the
     requested thresholds are (or already were) applied, ``False`` when
-    disabled via ``O2_MALLOC_TUNE=0`` or when the platform has no usable
-    glibc ``mallopt``.  Callers may retune: the last applied profile wins,
-    which lets a compiled-training phase hand a leaner arena back to a
-    serving phase in the same process.
+    the platform has no usable glibc ``mallopt``.  Callers may retune: the
+    last applied profile wins, which lets a compiled-training phase hand a
+    leaner arena back to a serving phase in the same process.
     """
     global _tuned
-    if not env_flag("O2_MALLOC_TUNE", True):
-        return False
-    if mmap_threshold is None or trim_threshold is None:
-        if profile is None:
-            from .tensor import pool as _pool
+    if profile is None:
+        from .tensor import pool as _pool
 
-            profile = "lean" if _pool.buffer_pool_enabled() else "hoard"
-        prof_mmap, prof_trim = _PROFILES[profile]
-        if mmap_threshold is None:
-            mmap_threshold = prof_mmap
-        if trim_threshold is None:
-            trim_threshold = prof_trim
-    want = (int(mmap_threshold), int(trim_threshold))
+        profile = "lean" if _pool.buffer_pool_enabled() else "hoard"
+    want = _PROFILES[profile]
     if _tuned == want:
         return True
     try:

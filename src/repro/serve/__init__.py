@@ -18,14 +18,14 @@ representation building from the cheap per-request scoring:
   arena segments (``python -m repro.serve build-index``).
 * :class:`RecommendationService` -- top-k query API with candidate
   filters, retrieve-then-rank when the snapshot carries an index
-  (``O2_SERVE_INDEX`` / ``--index``), an LRU+TTL score cache, a
+  (``use_index`` / ``--index``), an LRU+TTL score cache, a
   caller-runs :class:`MicroBatcher` (a cache miss scores on the calling
   thread at once; callers arriving during a pass share the next one, and
   no batching thread exists) and atomic snapshot hot swap
   (``service.reload``).
 * :class:`~repro.serve.workers.WorkerPool` -- pre-forked multi-process
-  HTTP serving (``O2_SERVE_PROCS``): ``SO_REUSEPORT`` load balancing with
-  a fail-soft inherited-socket fallback, each worker's BLAS threads
+  HTTP serving (``procs`` / ``--procs``): ``SO_REUSEPORT`` load balancing
+  with a fail-soft inherited-socket fallback, each worker's BLAS threads
   capped at its share of the CPUs, shared-memory fleet metrics, and
   manifest-driven fleet-wide hot swap.
 * ``python -m repro.serve`` -- loads a checkpoint or snapshot and serves

@@ -4,9 +4,9 @@ Serve a dataset-free snapshot over stdin/stdout (line protocol):
 
     python -m repro.serve --snapshot snap.npz
 
-Serve over HTTP, scaled out across pre-forked worker processes (also
-settable via ``O2_SERVE_PROCS``; snapshots in the zero-copy ``.arena``
-format are shared between workers through the OS page cache):
+Serve over HTTP, scaled out across pre-forked worker processes (snapshots
+in the zero-copy ``.arena`` format are shared between workers through the
+OS page cache):
 
     python -m repro.serve --snapshot snap.arena --http 8080 --procs 4
 
@@ -36,7 +36,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..parallel import num_serve_procs
 from .arena import convert_snapshot, is_arena_file
 from .protocol import handle_line, serve_http, serve_lines
 from .service import RecommendationService
@@ -85,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--procs",
         type=int,
-        default=None,
-        help="pre-forked HTTP worker processes (default: O2_SERVE_PROCS "
-        "or 1); values > 1 require --http",
+        default=1,
+        help="pre-forked HTTP worker processes (default 1); values > 1 "
+        "require --http",
     )
     parser.add_argument(
         "--manifest",
@@ -106,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "on", "off"],
         default="auto",
         help="retrieve-then-rank: auto uses the snapshot's index when "
-        "present, on requires it, off forces the exact full scan "
-        "(overrides O2_SERVE_INDEX)",
+        "present, on requires it, off forces the exact full scan",
     )
     parser.add_argument(
         "--retrieve-m",
@@ -265,7 +263,7 @@ def main(argv=None) -> int:
     if argv and argv[0] == "build-index":
         return _build_index_main(argv[1:])
     args = build_parser().parse_args(argv)
-    procs = args.procs if args.procs is not None else num_serve_procs()
+    procs = args.procs
     if procs < 1:
         build_parser().error("--procs must be >= 1")
 

@@ -7,7 +7,7 @@ and answers top-k site queries:
   and the query ranks the default candidate set, a **retrieve-then-rank**
   pass runs first: the index pulls the top-M candidate positions in
   sub-millisecond time and only the survivors reach the exact scorer
-  (``O2_SERVE_INDEX=0`` or ``use_index=False`` forces the full scan;
+  (``use_index=False`` forces the full scan;
   explicitly supplied candidates always take the exact path);
 * scores come from an LRU+TTL :class:`~repro.serve.cache.ScoreCache` when a
   (snapshot, type, candidate-set) combination repeats, otherwise from the
@@ -34,24 +34,12 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..core.ranking import Recommendation
-from ..runtime import env_str
 from ..topk import top_k_indices
 from .batching import MicroBatcher
 from .cache import ScoreCache, candidate_digest
 from .index import MIN_RERANK
 from .metrics import ServiceMetrics
 from .snapshot import ModelSnapshot, PathLike
-
-
-def _env_use_index() -> Optional[bool]:
-    """The ``O2_SERVE_INDEX`` toggle: 0/off -> False, 1/on -> True,
-    auto/unset -> None (use the index whenever the snapshot has one)."""
-    raw = env_str("O2_SERVE_INDEX", "auto")
-    if raw in ("0", "off", "false", "no"):
-        return False
-    if raw in ("1", "on", "true", "yes"):
-        return True
-    return None
 
 
 class _CandidateResolver:
@@ -124,9 +112,9 @@ class RecommendationService:
         self.default_k = default_k
         self.per_type_k = dict(per_type_k or {})
         self.query_timeout_s = query_timeout_s
-        # None -> O2_SERVE_INDEX env, which itself defaults to "auto"
-        # (retrieve whenever the deployed snapshot carries an index).
-        self.use_index = _env_use_index() if use_index is None else use_index
+        # None -> "auto": retrieve whenever the deployed snapshot carries
+        # an index; False forces the exact full scan.
+        self.use_index = use_index
         self.retrieve_m = retrieve_m
         self.nprobe = nprobe
         self._resolver = _CandidateResolver(snapshot)

@@ -180,43 +180,32 @@ class ModelSnapshot:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_model(
-        cls,
-        model,
-        meta: Optional[dict] = None,
-        shard_tiles: Optional[int] = None,
-    ) -> "ModelSnapshot":
+    def from_model(cls, model, meta: Optional[dict] = None) -> "ModelSnapshot":
         """Freeze a live :class:`~repro.core.O2SiteRec` for serving.
 
-        ``shard_tiles`` pins the row-band count of the embedding export's
-        propagation (:mod:`repro.core.shard`): the batched pass sweeps its
-        layers band by band instead of over the whole graph at once, which
-        is how metropolis-scale snapshots stay inside the build host's
-        cache/memory budget.  ``None`` defers to the usual
-        ``O2_SHARD_TILES``/auto-threshold gate and ``0`` pins the dense
-        layer loop; the stitched embeddings are bit-identical either way,
-        so the snapshot fingerprint does not depend on the band count.
-        The export runs with no autograd tape
+        The embedding export's propagation goes through the shard gate
+        (:mod:`repro.core.shard`): past the auto threshold, or under
+        :func:`~repro.core.shard.use_shard_tiles`, the batched pass sweeps
+        its layers band by band instead of over the whole graph at once,
+        which is how metropolis-scale snapshots stay inside the build
+        host's cache/memory budget.  The stitched embeddings are
+        bit-identical either way, so the snapshot fingerprint does not
+        depend on the band count.  The export runs with no autograd tape
         (:meth:`~repro.core.O2SiteRec.export_embeddings`).  The effective
         tile count is recorded under ``meta["shard_tiles"]``.
         """
-        from ..core.shard import (
-            shard_gate_reason,
-            shard_tiles_for,
-            use_shard_tiles,
-        )
+        from ..core.shard import shard_gate_reason, shard_tiles_for
         from ..data.periods import TimePeriod
 
-        with use_shard_tiles(shard_tiles):
-            per_period = model.export_embeddings()
-            was_training = model.training
-            model.eval()
-            try:
-                effective_tiles = shard_tiles_for(model.recommender)
-                gate_reason = shard_gate_reason()
-            finally:
-                if was_training:
-                    model.train()
+        per_period = model.export_embeddings()
+        was_training = model.training
+        model.eval()
+        try:
+            effective_tiles = shard_tiles_for(model.recommender)
+            gate_reason = shard_gate_reason()
+        finally:
+            if was_training:
+                model.train()
         meta = dict(meta or {})
         meta.setdefault("shard_tiles", int(effective_tiles))
         meta.setdefault("shard_gate_reason", gate_reason)

@@ -1,4 +1,4 @@
-"""Pre-forked multi-process serving plane (``O2_SERVE_PROCS``).
+"""Pre-forked multi-process serving plane (``WorkerPool(procs=N)``).
 
 One Python process can only parse HTTP, digest candidates and rank top-k
 on one core at a time -- the GIL serialises everything but the numpy
@@ -47,7 +47,6 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..parallel import num_serve_procs
 from ..runtime import limit_blas_threads
 from .metrics import BUCKET_BOUNDS, ServiceMetrics
 from .protocol import make_http_handler
@@ -410,8 +409,7 @@ def _rss_bytes(pid: int) -> Optional[int]:
 class WorkerPool:
     """N pre-forked HTTP serving workers behind one port.
 
-    ``procs`` defaults to ``O2_SERVE_PROCS`` (``auto`` = CPU count).
-    ``manifest_path`` enables fleet-wide hot swap: :meth:`reload` bumps
+    ``procs`` is the worker count (default one).  ``manifest_path`` enables fleet-wide hot swap: :meth:`reload` bumps
     the manifest and every worker cuts over atomically within
     ``poll_interval_s``.  ``service_kwargs`` are forwarded to each
     worker's :class:`RecommendationService`.
@@ -423,7 +421,7 @@ class WorkerPool:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        procs: Optional[int] = None,
+        procs: int = 1,
         manifest_path: Optional[PathLike] = None,
         poll_interval_s: float = 0.25,
         service_kwargs: Optional[dict] = None,
@@ -432,7 +430,7 @@ class WorkerPool:
         self.snapshot_path = str(snapshot_path)
         self.host = host
         self.port = port  # resolved on start() when 0
-        self.procs = procs if procs is not None else num_serve_procs()
+        self.procs = procs
         if self.procs < 1:
             raise ValueError("procs must be >= 1")
         self.manifest_path = (

@@ -24,8 +24,8 @@ same left-to-right accumulation order, so results agree to the last few
 ulps (well inside the 1e-9 equivalence the fast path is pinned to).
 
 Everything is best-effort: no compiler, a failed compile, or
-``O2_C_KERNELS=0`` simply leaves :func:`available` false and callers fall
-back to the numpy fast path.  No third-party dependency is involved --
+``set_c_kernels(False)`` simply leaves :func:`available` false and callers
+fall back to the numpy fast path.  No third-party dependency is involved --
 only ``cc`` and ``ctypes``.
 """
 
@@ -219,7 +219,7 @@ _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
 
-_enabled = _runtime.env_flag("O2_C_KERNELS", True)
+_enabled = True
 
 
 def set_c_kernels(enabled: bool) -> bool:

@@ -16,7 +16,7 @@ construction and zero Python autograd dispatch:
   Every op site in :mod:`repro.tensor.tensor` / :mod:`repro.tensor.ops`
   emits a *replay thunk* — a closure over the concrete input/output
   ndarrays it just used, re-running exactly the same kernel (numpy ufunc,
-  ``SegmentPlan`` reduction, or ``O2_C_KERNELS`` C loop) with ``out=`` its
+  ``SegmentPlan`` reduction, or compiled C loop) with ``out=`` its
   original output buffer.  Because each thunk holds references to its
   arrays, the buffer pool can never recycle them: the plan's buffers are
   pinned for its lifetime and no two captured arrays alias.
@@ -33,8 +33,8 @@ construction and zero Python autograd dispatch:
 
 Replay preserves the reference FP op order exactly — every thunk re-runs
 the same expressions on the same buffers — so loss curves and parameter
-hashes stay bit-identical to eager across the ``O2_FAST_KERNELS`` /
-``O2_C_KERNELS`` ablations (pinned by ``tests/test_compiled_step.py``).
+hashes stay bit-identical to eager across the ``set_fast_kernels`` /
+``set_c_kernels`` ablations (pinned by ``tests/test_compiled_step.py``).
 
 Fail-soft by design: ops whose closures capture non-refreshable values
 *poison* the trace, a coverage check (nodes created == nodes recorded)
@@ -44,8 +44,8 @@ guard) fall back to eager or recapture.  The capture step itself is a
 bit-for-bit ordinary training step, so a failed capture costs nothing but
 the bookkeeping.
 
-Enabled via ``O2_COMPILE_STEP`` (default on) or
-``TrainConfig.compile_step``; see :class:`repro.core.trainer.Trainer`.
+Enabled by ``TrainConfig.compile_step`` (default on); see
+:class:`repro.core.trainer.Trainer`.
 """
 
 from __future__ import annotations

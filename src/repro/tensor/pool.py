@@ -56,7 +56,7 @@ Design
   tape's storage instead of holding both, and peak footprint tracks the
   maximum *live* bytes rather than the sum over phases.
 
-The module-level switch (env ``O2_BUFFER_POOL``, default on) gates every
+The module-level switch (:func:`set_buffer_pool`, default on) gates every
 caller: with the pool disabled, :func:`out_buffer` returns ``None`` so op
 code falls through to numpy's own allocation (``out=None``), restoring the
 reference allocation path bit for bit and byte for byte.
@@ -71,7 +71,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .. import runtime as _runtime
 from . import memprof as _memprof
 
 __all__ = [
@@ -358,11 +357,11 @@ def global_pool() -> BufferPool:
 # ----------------------------------------------------------------------
 # Enable switch (mirrors segment.set_fast_kernels).
 # ----------------------------------------------------------------------
-_enabled = _runtime.env_flag("O2_BUFFER_POOL", True)
+_enabled = True
 
 
 def buffer_pool_enabled() -> bool:
-    """Whether ops borrow from the pool (env ``O2_BUFFER_POOL``)."""
+    """Whether ops borrow from the pool (:func:`set_buffer_pool`)."""
     return _enabled
 
 

@@ -22,9 +22,9 @@ Within one segment a stable sort preserves the original row order, and
 so the fast path is numerically equivalent to the reference kernels (tested
 to 1e-12; bit-for-bit in practice).
 
-The module-level switch :func:`set_fast_kernels` (env ``O2_FAST_KERNELS``,
-default on) lets benchmarks and tests pin the fast path against the
-pre-plan reference kernels.
+The module-level switch :func:`set_fast_kernels` (default on) lets
+benchmarks and tests pin the fast path against the pre-plan reference
+kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Optional
 
 import numpy as np
 
-from .. import runtime as _runtime
 from . import pool as _pool
 
 __all__ = [
@@ -279,7 +278,7 @@ def invalidate_plans_for(array: np.ndarray) -> int:
 # ----------------------------------------------------------------------
 # Fast-path switch.
 # ----------------------------------------------------------------------
-_fast_enabled = _runtime.env_flag("O2_FAST_KERNELS", True)
+_fast_enabled = True
 
 
 def fast_kernels_enabled() -> bool:

@@ -257,7 +257,7 @@ class Tensor:
         with graph depth.  Retired tensors keep ``data`` and ``grad`` but
         cannot be backpropagated through again.
 
-        With the buffer pool on (``O2_BUFFER_POOL``, default), gradient
+        With the buffer pool on (the default), gradient
         fan-in accumulates in place into driver-owned pooled buffers
         (``np.add(g, pg, out=g)``) -- bit-for-bit identical to the
         reference ``g + pg`` binding, without the per-accumulation

@@ -4,7 +4,7 @@ Three layers of guarantees, matching what ``repro.tensor.plan`` promises:
 
 * compiled training is bit-for-bit identical to eager training -- loss
   curves, final parameters, and post-fit predictions -- across the
-  ``O2_FAST_KERNELS`` x ``O2_BUFFER_POOL`` ablation grid, with the plans
+  ``use_fast_kernels`` x ``use_buffer_pool`` ablation grid, with the plans
   actually engaged (captures and replays observed, zero eager fallbacks);
 * replay never corrupts caller state: the pinned input buffers are
   private copies, so the batch arrays handed to ``CompiledStep.step``

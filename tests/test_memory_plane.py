@@ -7,7 +7,7 @@ Four layers of guarantees, matching what the memory plane promises:
   requests, grows per-size buckets and honours its idle cap;
 * pooled-path training is bit-for-bit identical to the reference
   allocation path -- fuzzed over randomized autograd graphs with shared
-  subexpressions under both ``O2_FAST_KERNELS`` settings, and pinned at
+  subexpressions under both ``use_fast_kernels`` settings, and pinned at
   whole-model fit-curve granularity;
 * the in-place fused Adam/SGD/clip updates reproduce the reference
   expressions exactly (same floating-point operation order);
@@ -305,7 +305,7 @@ def _fit_and_predict(dataset, split, epochs=2):
 
 
 class TestWholeModelPin:
-    """O2_BUFFER_POOL=1 training is bit-for-bit equal to =0."""
+    """Pooled training is bit-for-bit equal to ``use_buffer_pool(False)``."""
 
     @pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
     def test_fit_curve_bitwise(self, micro_dataset, micro_split, fast):

@@ -10,8 +10,8 @@ Pins the subsystem's contracts:
 * index segments round-trip through both snapshot formats, mmap
   zero-copy from the arena, and survive hot swap -- in-process reloads
   under concurrent queries and fleet-wide manifest cutover;
-* the exactness toggles (``use_index=False``, ``O2_SERVE_INDEX=0``,
-  explicit candidate lists) fall back to the full scan bit for bit.
+* the exactness toggles (``use_index=False``, ``--index off``, explicit
+  candidate lists) fall back to the full scan bit for bit.
 """
 
 from __future__ import annotations
@@ -323,17 +323,15 @@ class TestServiceRetrieval:
             assert disabled.stats()["counters"].get("retrievals", 0) == 0
             assert disabled.stats()["index"]["active"] is False
 
-    def test_env_toggle_disables_index(self, indexed_snapshot, monkeypatch):
-        monkeypatch.setenv("O2_SERVE_INDEX", "0")
+    def test_use_index_toggle(self, indexed_snapshot):
         with RecommendationService(
-            indexed_snapshot, **SERVICE_KWARGS
+            indexed_snapshot, use_index=False, **SERVICE_KWARGS
         ) as service:
             assert service.use_index is False
             service.query(0, k=3)
             assert service.stats()["counters"].get("retrievals", 0) == 0
-        monkeypatch.setenv("O2_SERVE_INDEX", "on")
         with RecommendationService(
-            indexed_snapshot, **SERVICE_KWARGS
+            indexed_snapshot, use_index=True, **SERVICE_KWARGS
         ) as service:
             assert service.use_index is True
             service.query(0, k=3)

@@ -10,7 +10,9 @@ drift from the paper's model.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -90,12 +92,9 @@ def test_fit_identical_with_sharded_eval(dataset, split):
 
         init.seed(0)
         model = O2SiteRec(dataset, split=split)
-        trainer = Trainer(
-            model,
-            TrainConfig(epochs=2, min_epochs=1, seed=0,
-                        shard_tiles=shard_tiles),
-        )
-        result = trainer.fit(pairs, targets)
+        trainer = Trainer(model, TrainConfig(epochs=2, min_epochs=1, seed=0))
+        with shard.use_shard_tiles(shard_tiles):
+            result = trainer.fit(pairs, targets)
         digest = hashlib.sha256()
         for param in model.parameters():
             digest.update(param.data.tobytes())
@@ -111,8 +110,8 @@ def test_fit_identical_with_sharded_eval(dataset, split):
 def test_gate_off_below_threshold_and_in_training(dataset):
     model = O2SiteRec(dataset)
     rec = model.recommender
-    # Auto gate: the tiny grid sits far below O2_SHARD_MIN_REGIONS, in
-    # training as in eval.
+    # Auto gate: the tiny grid sits far below the 4096-region threshold,
+    # in training as in eval.
     model.eval()
     assert shard.shard_tiles_for(rec) == 0
     model.train()
@@ -129,23 +128,19 @@ def test_gate_off_below_threshold_and_in_training(dataset):
     assert shard.shard_tiles_for(rec) == rec.grid_shape[0]
 
 
-def test_resolve_tiles_env(monkeypatch):
-    monkeypatch.setattr(shard, "_tile_override", None)
-    # Explicit off beats the auto threshold.
-    monkeypatch.setenv("O2_SHARD_TILES", "0")
-    assert shard.resolve_shard_tiles(1_000_000) == 0
-    monkeypatch.setenv("O2_SHARD_TILES", "off")
-    assert shard.resolve_shard_tiles(1_000_000) == 0
-    monkeypatch.setenv("O2_SHARD_TILES", "6")
-    assert shard.resolve_shard_tiles(16) == 6
-    monkeypatch.delenv("O2_SHARD_TILES")
+def test_resolve_tiles_override_and_threshold():
+    shard.set_shard_tiles(None)
     # Auto: engages at the metropolis threshold, serial or not.
-    assert shard.resolve_shard_tiles(shard._AUTO_MIN_REGIONS) == (
-        shard.DEFAULT_SHARD_TILES
-    )
-    assert shard.resolve_shard_tiles(shard._AUTO_MIN_REGIONS - 1) == 0
-    monkeypatch.setenv("O2_SHARD_MIN_REGIONS", "10")
-    assert shard.resolve_shard_tiles(10) == shard.DEFAULT_SHARD_TILES
+    assert shard._AUTO_MIN_REGIONS == 4096
+    assert shard.resolve_shard_tiles(4096) == shard.DEFAULT_SHARD_TILES
+    assert shard.resolve_shard_tiles(4095) == 0
+    # An explicit 0 beats the auto threshold; a count is forced below it.
+    with shard.use_shard_tiles(0):
+        assert shard.resolve_shard_tiles(1_000_000) == 0
+    with shard.use_shard_tiles(6):
+        assert shard.resolve_shard_tiles(16) == 6
+    # The scoped override restores the auto gate.
+    assert shard.resolve_shard_tiles(1_000_000) == shard.DEFAULT_SHARD_TILES
 
 
 def test_shard_inside_pool_worker(dataset, monkeypatch):
@@ -165,8 +160,10 @@ def test_snapshot_from_sharded_build_matches(dataset, split):
     init.seed(0)
     model = O2SiteRec(dataset, split=split)
     model.eval()
-    plain = ModelSnapshot.from_model(model, shard_tiles=0)
-    tiled = ModelSnapshot.from_model(model, shard_tiles=3)
+    with shard.use_shard_tiles(0):
+        plain = ModelSnapshot.from_model(model)
+    with shard.use_shard_tiles(3):
+        tiled = ModelSnapshot.from_model(model)
     assert tiled.snapshot_id == plain.snapshot_id
     assert tiled.meta["shard_tiles"] == 3
     assert plain.meta["shard_tiles"] == 0
@@ -199,6 +196,32 @@ def test_export_embeddings_builds_no_tape(dataset, split, monkeypatch):
     assert counts["tensors"] > 0
     assert counts["taped"] == 0
     assert model.training  # the export restores the caller's mode
-    plain = ModelSnapshot.from_model(model, shard_tiles=0)
-    tiled = ModelSnapshot.from_model(model, shard_tiles=3)
+    tiled = ModelSnapshot.from_model(model)
+    with shard.use_shard_tiles(0):
+        plain = ModelSnapshot.from_model(model)
     assert tiled.snapshot_id == plain.snapshot_id
+
+
+def test_band_tables_die_with_their_model(dataset, split):
+    """A dropped model releases its band tables and their segment plans.
+
+    Each row's ``SegmentPlan`` lives in the recommender's own band table,
+    so no module-global cache (neither a band-table cache nor the
+    segment-plan LRU) keeps a band's ids array alive after the export.
+    """
+    from repro.serve.snapshot import ModelSnapshot
+
+    model = O2SiteRec(dataset, split=split)
+    with shard.use_shard_tiles(3):
+        snapshot = ModelSnapshot.from_model(model)
+    assert snapshot.meta["shard_tiles"] == 3
+    rows = [
+        row
+        for _dst, _cuts, table in model.recommender._band_tables.values()
+        for row in table
+    ]
+    assert len(rows) >= 3
+    ids_refs = [weakref.ref(row[4].segment_ids) for row in rows]
+    del model, snapshot, rows
+    gc.collect()
+    assert [ref() for ref in ids_refs] == [None] * len(ids_refs)

@@ -2,7 +2,7 @@
 
 Training raises the banded engine's eval contract: not just forward values
 but **loss curves and every parameter byte** must match the dense step
-(``shard_tiles=0``) -- across band counts, kernel backends and the
+(``use_shard_tiles(0)``) -- across band counts, kernel backends and the
 buffer-pool ablation, and with process fan-out switched on, which the
 in-process sweep must ignore -- because the banded backward re-derives the
 dense gradients from per-band recomputation plus block-deterministic
@@ -26,7 +26,7 @@ from repro.optim import Adam, clip_grad_norm
 from repro.tensor import Tensor, cnative, pool
 from repro.tensor import memprof
 from repro.tensor import plan as _plan
-from repro.tensor.segment import SegmentPlan, get_plan
+from repro.tensor.segment import SegmentPlan, plan_cache_info
 
 
 @pytest.fixture(autouse=True)
@@ -62,10 +62,11 @@ def _fit_fingerprint(dataset, split, pairs, targets, *, tiles=3, procs=0,
         model = O2SiteRec(dataset, split=split)
         trainer = Trainer(
             model,
-            TrainConfig(epochs=2, min_epochs=1, seed=0, shard_tiles=tiles,
+            TrainConfig(epochs=2, min_epochs=1, seed=0,
                         compile_step=compile_step),
         )
-        result = trainer.fit(pairs, targets)
+        with shard.use_shard_tiles(tiles):
+            result = trainer.fit(pairs, targets)
     finally:
         parallel.set_num_procs(prev)
     return result.train_losses, result.validation_losses, _params_sha(model)
@@ -79,7 +80,8 @@ def _fit_fingerprint(dataset, split, pairs, targets, *, tiles=3, procs=0,
 def test_banded_training_fit_bitwise(dataset, split):
     """Dense vs banded fits: loss curves and parameter bytes, float-exact.
 
-    The dense leg runs every step and eval pass with ``shard_tiles=0``; the
+    The dense leg runs every step and eval pass under
+    ``use_shard_tiles(0)``; the
     banded leg is checked at two band counts.
     """
     pairs = split.train_pairs
@@ -219,7 +221,7 @@ def _run_banded(agg, target, source, attr, dst, src, cuts):
     for p in agg.parameters():
         p.grad = None
     target.grad = source.grad = None
-    bands = shard._band_table(dst, np.asarray(cuts, dtype=np.int64))
+    bands = shard._band_table({}, dst, np.asarray(cuts, dtype=np.int64))
     prelude = shard._build_prelude(agg, target, source, attr)
     spec = {"dst": dst, "src": src, "prelude": prelude}
     value = shard._serial_values(spec, bands, agg)
@@ -306,17 +308,17 @@ def test_train_gate_reasons(dataset):
     assert tiles == min(3, rows) and tiles > 1
     assert "engaged" in shard.shard_train_gate_reason()
 
-    # Auto threshold: the tiny grid sits far below O2_SHARD_MIN_REGIONS.
+    # Auto threshold: the tiny grid sits far below 4096 regions.
     shard.set_shard_tiles(None)
     assert shard.shard_tiles_for(rec) == 0
-    assert "O2_SHARD_MIN_REGIONS" in shard.shard_train_gate_reason()
+    assert "4096-region auto threshold" in shard.shard_train_gate_reason()
 
     # Eval-side reason is recorded independently.
     model.eval()
     shard.set_shard_tiles(3)
     assert shard.shard_tiles_for(rec) > 1
     assert "engaged" in shard.shard_gate_reason()
-    assert "O2_SHARD_MIN_REGIONS" in shard.shard_train_gate_reason()
+    assert "4096-region auto threshold" in shard.shard_train_gate_reason()
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +461,17 @@ def test_band_table_caches_ids_identity():
         np.int64
     )
     cuts = np.array([0, 10, 25, 40], dtype=np.int64)
-    t1 = shard._band_table(dst, cuts)
-    t2 = shard._band_table(dst, cuts)
-    assert all(a[4] is b[4] for a, b in zip(t1, t2))  # stable ids arrays
-    # Stable ids arrays keep the SegmentPlan identity cache hot.
-    lo, hi, e0, e1, ids = t1[1]
-    assert get_plan(ids, hi - lo) is get_plan(ids, hi - lo)
+    tables = {}
+    misses = plan_cache_info()["misses"]
+    t1 = shard._band_table(tables, dst, cuts)
+    t2 = shard._band_table(tables, dst, cuts)
+    assert all(a[4] is b[4] for a, b in zip(t1, t2))  # one plan per band
+    # Each row carries the plan over its band-local segment ids, built
+    # outside the global plan cache.
+    lo, hi, e0, e1, plan = t1[1]
+    assert plan.num_segments == hi - lo
+    assert np.array_equal(plan.segment_ids, dst[e0:e1] - lo)
+    assert plan_cache_info()["misses"] == misses
     # Different cuts over the same dst rebuild rather than alias.
-    t3 = shard._band_table(dst, np.array([0, 20, 40], dtype=np.int64))
-    assert len(t3) == 2
+    t3 = shard._band_table(tables, dst, np.array([0, 20, 40], dtype=np.int64))
+    assert len(t3) == 2 and len(tables) == 1
